@@ -6,16 +6,7 @@
 //! *accidental* mismatch (a different question, a corrupted snapshot),
 //! not against an adversary with write access to the snapshot file.
 
-/// 64-bit FNV-1a.
-#[must_use]
-pub fn fnv64(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
+pub use spi_verify::fnv64;
 
 /// The canonical digest spelling: `fnv:` plus 16 hex digits.
 #[must_use]

@@ -10,17 +10,17 @@
 //! configuration member carries its own hedge ([`EnvKnowledge`]) mapping
 //! the run's raw fresh names to canonical environment names.
 //!
-//! A configuration is the set of `(state, iso, hedge)` members reachable
-//! under one canonical observation sequence — the subset construction
-//! over the weak LTS, with the iso-tracking machinery of
-//! [`crate::iso`]/`explore` mapping each merged state's local
-//! coordinates back to the true run (exactly as the trace extractor's
-//! walker does).  The implementation configuration must be able to match
-//! every canonical observation the environment can provoke with one from
-//! the specification configuration; a canonical event the specification
-//! configuration cannot match is a distinguishing experiment, and the
-//! breadth-first schedule makes the first one found a *shortest*
-//! distinguishing trace.  Visited configuration pairs are memoized, so
+//! A configuration is the set of members reachable under one canonical
+//! observation sequence — the subset construction over the weak LTS that
+//! the weak-visible layer ([`WeakLayer`]) builds for both engines, each
+//! member a state with its path permutation and its hedge kept in the
+//! state's local coordinates.  The implementation configuration must be
+//! able to match every canonical observation the environment can provoke
+//! with one from the specification configuration; a canonical event the
+//! specification configuration cannot match is a distinguishing
+//! experiment, and the breadth-first schedule makes the first one found
+//! a *shortest* distinguishing trace.  Visited configuration pairs are
+//! memoized, so
 //! subtrees the trace comparison would re-enumerate are pruned — this is
 //! the speed play behind the campaign early-reject path.
 //!
@@ -34,12 +34,14 @@
 //! `engines` conformance oracle turn that theorem into a continuously
 //! checked invariant.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
+
+use spi_semantics::PathPerm;
 
 use crate::hedges::EnvKnowledge;
-use crate::iso::IsoTable;
-use crate::{Label, Lts, ResourceKind, TraceSet, TraceVerdict};
+use crate::traces::sound;
+use crate::weak::{Render, WeakLayer};
+use crate::{Lts, ObsEvent, TraceSet, TraceVerdict};
 
 /// Which decision procedure(s) a verification run uses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -115,107 +117,21 @@ impl BisimOptions {
     }
 }
 
-/// One member of a configuration: a state, the composed iso mapping its
-/// local coordinates to the true run, and the environment's hedge for
-/// the canonical prefix that reached it.
-type Member = (usize, u32, EnvKnowledge);
-
-/// A configuration: the members reachable under one canonical
-/// observation sequence (sorted and deduplicated, so equal
-/// configurations compare equal).
-type Cfg = Vec<Member>;
-
-/// A memoized τ-closure: `(state, composed iso)` pairs, shared between
-/// every configuration that reaches the state.
-type TauClosure = Arc<Vec<(usize, u32)>>;
-
-/// Iso-aware weak-transition walker — the same memoized τ-closure and
-/// edge-iso composition discipline as the trace extractor's walk.
-struct Walk<'l> {
-    lts: &'l Lts,
-    table: IsoTable,
-    closure0: Vec<Option<TauClosure>>,
-}
-
-impl<'l> Walk<'l> {
-    fn new(lts: &'l Lts) -> Walk<'l> {
-        Walk {
-            lts,
-            table: IsoTable::from_isos(lts.isos.clone()),
-            closure0: vec![None; lts.states.len()],
-        }
-    }
-
-    fn edge_iso(&self, state: usize, edge: usize) -> u32 {
-        self.lts.edge_isos.get(&(state, edge)).copied().unwrap_or(0)
-    }
-
-    /// Memoized identity-rooted τ-closure of `s`.
-    fn closure0(&mut self, s: usize) -> Arc<Vec<(usize, u32)>> {
-        if let Some(c) = &self.closure0[s] {
-            return Arc::clone(c);
-        }
-        let mut seen: BTreeSet<(usize, u32)> = BTreeSet::new();
-        seen.insert((s, 0));
-        let mut work = vec![(s, 0u32)];
-        while let Some((v, g)) = work.pop() {
-            let lts = self.lts;
-            for (e, (label, tgt)) in lts.states[v].edges.iter().enumerate() {
-                if matches!(label, Label::Tau(_)) {
-                    let h = self.edge_iso(v, e);
-                    let k = self.table.compose_ids(h, g);
-                    if seen.insert((*tgt, k)) {
-                        work.push((*tgt, k));
-                    }
-                }
-            }
-        }
-        let arc: Arc<Vec<(usize, u32)>> = Arc::new(seen.into_iter().collect());
-        self.closure0[s] = Some(Arc::clone(&arc));
-        arc
-    }
-
-    /// τ-closure of `s` with every member's iso composed with `g`.
-    fn closure(&mut self, s: usize, g: u32) -> Vec<(usize, u32)> {
-        let base = self.closure0(s);
-        base.iter()
-            .map(|&(t, k)| (t, self.table.compose_ids(k, g)))
-            .collect()
-    }
-
-    /// All canonical observations enabled from `cfg`, each with the
-    /// configuration it leads to.  Members whose raw events render to
-    /// the same canonical string merge — the environment cannot tell
-    /// those branches apart, so their futures pool.
-    fn successors(&mut self, cfg: &Cfg) -> BTreeMap<String, Cfg> {
-        let mut out: BTreeMap<String, BTreeSet<Member>> = BTreeMap::new();
-        for (s, g, knowledge) in cfg {
-            let lts = self.lts;
-            for (e, (label, tgt)) in lts.states[*s].edges.iter().enumerate() {
-                if let Label::Obs(ev, _) = label {
-                    let true_ev = self.table.get(*g).apply_event(ev);
-                    let mut k = knowledge.clone();
-                    let canon = k.observe(&true_ev);
-                    let h = self.edge_iso(*s, e);
-                    let g_tgt = self.table.compose_ids(h, *g);
-                    let members = self.closure(*tgt, g_tgt);
-                    let set = out.entry(canon).or_default();
-                    set.extend(members.into_iter().map(|(t, gi)| (t, gi, k.clone())));
-                }
-            }
-        }
-        out.into_iter()
-            .map(|(c, set)| (c, set.into_iter().collect()))
-            .collect()
-    }
-
-    fn initial(&mut self, knowledge: &EnvKnowledge) -> Cfg {
-        let set: BTreeSet<Member> = self
-            .closure(0, 0)
-            .into_iter()
-            .map(|(s, g)| (s, g, knowledge.clone()))
-            .collect();
-        set.into_iter().collect()
+/// The bisimulation engine's renderer: the environment's hedge resumed
+/// on a member's extracted names.
+impl Render for BisimOptions {
+    fn render(
+        &self,
+        ev: &ObsEvent,
+        perm: &PathPerm,
+        seen: &[(u32, u32)],
+        next: u32,
+        named: &mut Vec<(u32, u32)>,
+    ) -> String {
+        let mut knowledge = self.knowledge().resume(seen, next);
+        let canon = knowledge.observe_in(ev, perm);
+        named.extend_from_slice(knowledge.named());
+        canon
     }
 }
 
@@ -233,27 +149,37 @@ pub fn bisim_preorder_with(
     max_visible: usize,
     opts: &BisimOptions,
 ) -> TraceVerdict {
-    let mut iw = Walk::new(implementation);
-    let mut sw = Walk::new(specification);
-    let k0 = opts.knowledge();
-    let start = (iw.initial(&k0), sw.initial(&k0));
-    // The empty experiment always matches.
-    let mut checked = 1usize;
-    let mut visited: HashMap<(Cfg, Cfg), usize> = HashMap::new();
-    visited.insert(start.clone(), max_visible);
-    let mut queue: VecDeque<(Cfg, Cfg, usize, Vec<String>)> = VecDeque::new();
-    queue.push_back((start.0, start.1, max_visible, Vec::new()));
-    while let Some((ic, sc, remaining, prefix)) = queue.pop_front() {
+    bisim_preorder_in(
+        &mut WeakLayer::new(implementation),
+        &mut WeakLayer::new(specification),
+        max_visible,
+        opts,
+    )
+}
+
+fn bisim_preorder_in(
+    iw: &mut WeakLayer<'_>,
+    sw: &mut WeakLayer<'_>,
+    max_visible: usize,
+    opts: &BisimOptions,
+) -> TraceVerdict {
+    let start = (iw.initial(), sw.initial());
+    // Pair ids, and the pairs each pair's experiments lead to.
+    let mut ids = HashMap::new();
+    ids.insert(start.clone(), 0usize);
+    let mut children: Vec<Vec<usize>> = vec![Vec::new()];
+    let mut queue = VecDeque::new();
+    queue.push_back((0usize, start.0, start.1, max_visible, Vec::new()));
+    while let Some((id, ic, sc, remaining, prefix)) = queue.pop_front() {
         if remaining == 0 {
             continue;
         }
-        let igroups = iw.successors(&ic);
+        let igroups = iw.successors(&ic, opts);
         if igroups.is_empty() {
             continue;
         }
-        let sgroups = sw.successors(&sc);
+        let sgroups = sw.successors(&sc, opts);
         for (canon, inext) in igroups {
-            checked += 1;
             let Some(snext) = sgroups.get(&canon) else {
                 // The specification cannot match this experiment: a
                 // distinguishing trace, shortest because the schedule
@@ -263,17 +189,48 @@ pub fn bisim_preorder_with(
                 return TraceVerdict::Fails { witness };
             };
             let key = (inext, snext.clone());
-            // Revisits arrive with at most the stored budget (BFS is
-            // level-ordered), so a seen pair is a pruned subtree.
-            if visited.get(&key).is_none_or(|&r| r < remaining - 1) {
-                visited.insert(key.clone(), remaining - 1);
-                let mut next_prefix = prefix.clone();
-                next_prefix.push(canon);
-                queue.push_back((key.0, key.1, remaining - 1, next_prefix));
+            // Revisits arrive with at most the first visit's budget (BFS
+            // is level-ordered), so a seen pair is a pruned subtree.
+            if let Some(&child) = ids.get(&key) {
+                children[id].push(child);
+                continue;
             }
+            let child = children.len();
+            ids.insert(key.clone(), child);
+            children.push(Vec::new());
+            children[id].push(child);
+            let mut next_prefix = prefix.clone();
+            next_prefix.push(canon);
+            queue.push_back((child, key.0, key.1, remaining - 1, next_prefix));
         }
     }
-    TraceVerdict::Holds { checked }
+    TraceVerdict::Holds {
+        checked: experiments(&children, 0, max_visible, &mut HashMap::new()),
+    }
+}
+
+/// The number of canonical experiments of at most `remaining`
+/// observations from pair `id` (the empty one included), counting every
+/// path through a pruned revisit — so the count is the implementation's
+/// weak-trace count, however coarsely configurations are identified.
+fn experiments(
+    children: &[Vec<usize>],
+    id: usize,
+    remaining: usize,
+    memo: &mut HashMap<(usize, usize), usize>,
+) -> usize {
+    if remaining == 0 {
+        return 1;
+    }
+    if let Some(&n) = memo.get(&(id, remaining)) {
+        return n;
+    }
+    let n = 1 + children[id]
+        .iter()
+        .map(|&c| experiments(children, c, remaining - 1, memo))
+        .sum::<usize>();
+    memo.insert((id, remaining), n);
+    n
 }
 
 /// [`bisim_preorder_with`] with default options.
@@ -297,15 +254,25 @@ pub fn bisim_preorder_sound_with(
     max_visible: usize,
     opts: &BisimOptions,
 ) -> TraceVerdict {
-    let raw = bisim_preorder_with(implementation, specification, max_visible, opts);
-    let blame = |lts: &Lts| TraceVerdict::Inconclusive {
-        exhausted: lts.exhausted.unwrap_or(ResourceKind::Fuel),
-    };
-    match raw {
-        TraceVerdict::Holds { .. } if !implementation.complete() => blame(implementation),
-        TraceVerdict::Fails { .. } if !specification.complete() => blame(specification),
-        decided => decided,
-    }
+    bisim_preorder_sound_in(
+        &mut WeakLayer::new(implementation),
+        &mut WeakLayer::new(specification),
+        max_visible,
+        opts,
+    )
+}
+
+/// [`bisim_preorder_sound_with`] over prebuilt layers — how
+/// [`crate::Verifier`] lets both engines share one layer per side.
+#[must_use]
+pub(crate) fn bisim_preorder_sound_in(
+    implementation: &mut WeakLayer<'_>,
+    specification: &mut WeakLayer<'_>,
+    max_visible: usize,
+    opts: &BisimOptions,
+) -> TraceVerdict {
+    let raw = bisim_preorder_in(implementation, specification, max_visible, opts);
+    sound(raw, implementation.lts(), specification.lts())
 }
 
 /// [`bisim_preorder_sound_with`] with default options.
@@ -328,22 +295,7 @@ pub fn bisim_preorder_sound(
 /// observable even on a single system.
 #[must_use]
 pub fn bisim_traces(lts: &Lts, max_visible: usize, opts: &BisimOptions) -> TraceSet {
-    let mut walk = Walk::new(lts);
-    let start = walk.initial(&opts.knowledge());
-    let mut out = TraceSet::new();
-    let mut stack = vec![(start, max_visible, Vec::new())];
-    while let Some((cfg, remaining, prefix)) = stack.pop() {
-        out.insert(prefix.clone());
-        if remaining == 0 {
-            continue;
-        }
-        for (canon, next) in walk.successors(&cfg) {
-            let mut p = prefix.clone();
-            p.push(canon);
-            stack.push((next, remaining - 1, p));
-        }
-    }
-    out
+    WeakLayer::new(lts).traces(opts, max_visible)
 }
 
 #[cfg(test)]
@@ -375,6 +327,11 @@ mod tests {
             bisim_preorder(&big, &small, 3).holds(),
             trace_preorder(&big, &small, 3).holds()
         );
+        // Both count the implementation's experiments, also where the
+        // configuration graph joins (after `a, b` and after `b, a`).
+        let diamond = lts("observe<a> | observe<b> | observe<c>");
+        assert_eq!(bisim_preorder(&diamond, &diamond, 4), TraceVerdict::Holds { checked: 16 });
+        assert_eq!(trace_preorder(&diamond, &diamond, 4), TraceVerdict::Holds { checked: 16 });
     }
 
     #[test]

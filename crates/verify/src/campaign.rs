@@ -55,8 +55,8 @@ use crate::checkpoint::Json;
 use crate::faultsim::multi_fault_schedules;
 use crate::verifier::verdict_summary;
 use crate::{
-    bisim_preorder_sound, trace_preorder_sound, weak_traces, Engine, ExploreOptions, Explorer,
-    TraceVerdict, VerifyError,
+    bisim_preorder_sound_in, trace_preorder_sound_in, weak_traces, BisimOptions, Engine,
+    ExploreOptions, Explorer, TraceVerdict, VerifyError, WeakLayer,
 };
 
 /// Configuration of one fault campaign.
@@ -374,19 +374,24 @@ fn classify(
         Ok(lts) => lts,
         Err(reason) => return Ok(Classified::Inconclusive { reason }),
     };
+    let (mut cl, mut sl) = (WeakLayer::new(&concrete_lts), WeakLayer::new(&spec_lts));
+    let vis = opts.max_visible;
+    let bisim = |cl: &mut WeakLayer<'_>, sl: &mut WeakLayer<'_>| {
+        bisim_preorder_sound_in(cl, sl, vis, &BisimOptions::default())
+    };
     let verdict = match opts.engine {
-        Engine::Trace => trace_preorder_sound(&concrete_lts, &spec_lts, opts.max_visible),
-        Engine::Bisim => bisim_preorder_sound(&concrete_lts, &spec_lts, opts.max_visible),
+        Engine::Trace => trace_preorder_sound_in(&mut cl, &mut sl, vis),
+        Engine::Bisim => bisim(&mut cl, &mut sl),
         Engine::Both => {
             // Fast path: a (sound) bisimulation failure implies a
             // trace-preorder failure, so an attack verdict here skips
             // the full trace-set comparison for this schedule.
-            let b = bisim_preorder_sound(&concrete_lts, &spec_lts, opts.max_visible);
+            let b = bisim(&mut cl, &mut sl);
             if matches!(b, TraceVerdict::Fails { .. }) {
                 *early_rejects += 1;
                 b
             } else {
-                let t = trace_preorder_sound(&concrete_lts, &spec_lts, opts.max_visible);
+                let t = trace_preorder_sound_in(&mut cl, &mut sl, vis);
                 if std::mem::discriminant(&t) != std::mem::discriminant(&b) {
                     return Err(VerifyError::EngineDisagreement {
                         trace: verdict_summary(&t),
@@ -547,8 +552,11 @@ fn campaign_identity(concrete: &Process, spec: &Process, opts: &CampaignOptions)
     format!("fnv:{:016x}", fnv64(&desc))
 }
 
-/// 64-bit FNV-1a (the build is offline, so no hashing crates).
-fn fnv64(text: &str) -> u64 {
+/// 64-bit FNV-1a (the build is offline, so no hashing crates): the hash
+/// behind the campaign checkpoint identity and the server's cache
+/// digests, which spell it `fnv:{:016x}`.
+#[must_use]
+pub fn fnv64(text: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in text.bytes() {
         h ^= u64::from(b);

@@ -453,7 +453,7 @@ pub struct Lts {
     pub frontier: Vec<usize>,
     /// The interned state isomorphisms (index 0 is the identity).  Empty
     /// unless isomorphism tracking ran and some merge needed a
-    /// non-identity witness.
+    /// non-identity witness or some state has an automorphism.
     pub isos: Vec<Iso>,
     /// For every edge whose target was merged into a representative under
     /// a non-identity isomorphism: `(source state, edge position) → iso
@@ -461,6 +461,13 @@ pub struct Lts {
     /// back to the coordinates the edge actually produced.  Edges absent
     /// here carry the identity.
     pub edge_isos: BTreeMap<(usize, usize), u32>,
+    /// For every state the symmetry quotient found symmetric: its
+    /// non-identity automorphisms, as ids into [`Lts::isos`] — one per
+    /// copy permutation that maps the state onto itself (the candidates
+    /// tying its canonical key).  Two runs reaching the state in
+    /// coordinates that differ by one of them have the same future, so
+    /// trace extraction visits them once.
+    pub automorphisms: BTreeMap<usize, Vec<u32>>,
 }
 
 impl Lts {
@@ -615,12 +622,16 @@ impl Lts {
             let _ = write!(h, "f{f};");
         }
         // The iso section appears only when some merge recorded a
-        // non-identity witness, so untracked explorations keep their
-        // historical fingerprints bit-for-bit.
-        if !self.edge_isos.is_empty() {
+        // non-identity witness or some state has an automorphism, so
+        // untracked explorations keep their historical fingerprints
+        // bit-for-bit.
+        if !self.edge_isos.is_empty() || !self.automorphisms.is_empty() {
             let _ = write!(h, "I");
             for ((s, e), id) in &self.edge_isos {
                 let _ = write!(h, "i{s}.{e}:{id};");
+            }
+            for (s, ids) in &self.automorphisms {
+                let _ = write!(h, "a{s}:{ids:?};");
             }
             for iso in &self.isos {
                 let _ = write!(h, "{iso:?};");
@@ -854,19 +865,34 @@ fn term_tracks_depth(t: &RtTerm) -> bool {
 
 /// The signature-guided quotient key: the minimum raw key over the
 /// candidate permutations, together with the winning candidate's
-/// canonicalization journal and the candidate itself.  `None` when the
-/// candidate set overflows [`symmetry::MAX_CANDIDATES`] (the caller falls
-/// back to the raw key, which is always sound).
-fn signature_min(
-    sd: &StateData,
-    groups: &[symmetry::SessionGroup],
-) -> Option<(u128, Vec<u32>, PathPerm)> {
+/// canonicalization journal and the candidate itself, plus every other
+/// candidate that ties the minimum (each one witnesses an automorphism of
+/// the state).  `None` when the candidate set overflows
+/// [`symmetry::MAX_CANDIDATES`] (the caller falls back to the raw key,
+/// which is always sound).
+struct SigMin {
+    key: u128,
+    journal: Vec<u32>,
+    perm: PathPerm,
+    ties: Vec<(PathPerm, Vec<u32>)>,
+}
+
+fn signature_min(sd: &StateData, groups: &[symmetry::SessionGroup]) -> Option<SigMin> {
     let perms = symmetry::candidate_perms(&sd.cfg, groups, symmetry::MAX_CANDIDATES)?;
-    let mut best: Option<(u128, Vec<u32>, PathPerm)> = None;
+    let mut best: Option<SigMin> = None;
     for perm in perms {
         let (key, journal) = sd.permuted(&perm).key_and_journal();
-        if best.as_ref().is_none_or(|(k, _, _)| key < *k) {
-            best = Some((key, journal, perm));
+        match &mut best {
+            Some(b) if key == b.key => b.ties.push((perm, journal)),
+            Some(b) if key > b.key => {}
+            _ => {
+                best = Some(SigMin {
+                    key,
+                    journal,
+                    perm,
+                    ties: Vec::new(),
+                });
+            }
         }
     }
     best
@@ -889,7 +915,7 @@ fn verify_orbit_invariance(
     for perm in &orbit {
         let variant = sd.permuted(perm);
         let vgroups = symmetry::session_groups(&variant.cfg, pinned);
-        let Some((vkey, _, _)) = signature_min(&variant, &vgroups) else {
+        let Some(SigMin { key: vkey, .. }) = signature_min(&variant, &vgroups) else {
             continue; // Capped variant falls back to raw keys anyway.
         };
         assert_eq!(
@@ -938,6 +964,9 @@ struct CanonOut {
     /// The full canonical string, present iff `verify_keys`.
     string: Option<String>,
     annot: SymAnnot,
+    /// The other candidates tying the winning key, as `(permutation,
+    /// journal)`: each one witnesses an automorphism of the state.
+    ties: Vec<(PathPerm, Vec<u32>)>,
 }
 
 /// The state store: LTS states, their exploration payloads, and the
@@ -955,6 +984,9 @@ struct StateStore {
     /// annotations when not tracking).
     annots: Vec<SymAnnot>,
     isos: IsoTable,
+    /// The non-identity automorphisms of every interned state that has
+    /// some, as ids into `isos`.
+    automorphisms: BTreeMap<usize, Vec<u32>>,
     sym: SymCtx,
 }
 
@@ -983,6 +1015,7 @@ impl StateStore {
                 key: sd.key(),
                 string: want_string.then(|| sd.key_string()),
                 annot: SymAnnot::default(),
+                ties: Vec::new(),
             };
         }
         let names_len = u32::try_from(sd.cfg.names().len()).unwrap_or(u32::MAX);
@@ -996,6 +1029,7 @@ impl StateStore {
                     journal,
                     names_len,
                 },
+                ties: Vec::new(),
             }
         };
         if !self.sym.symmetry || !sd.sym_eligible() {
@@ -1010,7 +1044,13 @@ impl StateStore {
         }
         // A candidate-cap overflow keeps the raw key: sound, because
         // permuted siblings overflow identically and fall back alike.
-        let Some((key, journal, perm)) = signature_min(sd, &groups) else {
+        let Some(SigMin {
+            key,
+            journal,
+            perm,
+            ties,
+        }) = signature_min(sd, &groups)
+        else {
             return raw();
         };
         if self.sym.verify {
@@ -1029,6 +1069,7 @@ impl StateStore {
                 journal,
                 names_len,
             },
+            ties,
         }
     }
 
@@ -1082,6 +1123,7 @@ impl StateStore {
                 journal,
                 names_len: u32::try_from(sd.cfg.names().len()).unwrap_or(u32::MAX),
             },
+            ties: Vec::new(),
         }
     }
 
@@ -1103,10 +1145,37 @@ impl StateStore {
             }
         }
         self.index.insert(out.key, i);
+        let auts = self.automorphisms_of(&out.annot, &out.ties);
+        if self.sym.verify {
+            for &a in &auts {
+                audit_automorphism(&sd, self.isos.get(a));
+            }
+        }
+        if !auts.is_empty() {
+            self.automorphisms.insert(i, auts);
+        }
         self.data.push(sd);
         self.annots.push(out.annot);
         queue.push_back(i);
         i
+    }
+
+    /// Interns the automorphisms witnessed by the candidates tying a new
+    /// state's winning key: each maps the state onto itself exactly the
+    /// way [`StateStore::merge_iso`] maps a representative onto a
+    /// newcomer, the tying candidate playing the newcomer.
+    fn automorphisms_of(&mut self, annot: &SymAnnot, ties: &[(PathPerm, Vec<u32>)]) -> Vec<u32> {
+        let mut auts: Vec<u32> = ties
+            .iter()
+            .map(|(perm, journal)| {
+                self.isos
+                    .intern(annot_iso(annot, perm, journal, annot.names_len))
+            })
+            .filter(|&a| a != 0)
+            .collect();
+        auts.sort_unstable();
+        auts.dedup();
+        auts
     }
 
     /// Interns `sd`, returning its index plus the id of the isomorphism
@@ -1156,19 +1225,46 @@ impl StateStore {
     /// canonical strings assign their name slots in the same order) with
     /// a shifted tail for names allocated after the merge point.
     fn merge_iso(&mut self, rep: usize, new: &SymAnnot) -> u32 {
-        let old = &self.annots[rep];
-        let perm = old.perm.then(&new.perm.invert());
-        let ids = old
-            .journal
-            .iter()
-            .zip(new.journal.iter())
-            .filter(|(a, b)| a != b)
-            .map(|(&a, &b)| (a, b))
-            .collect();
-        let shift = i64::from(new.names_len) - i64::from(old.names_len);
-        self.isos
-            .intern(Iso::new(perm, ids, old.names_len, shift))
+        let iso = annot_iso(&self.annots[rep], &new.perm, &new.journal, new.names_len);
+        self.isos.intern(iso)
     }
+}
+
+/// The isomorphism from a state canonicalized as `old` to one whose
+/// winning candidate is `perm` with `journal` over `names_len` names:
+/// `old`'s canonicalizing permutation followed by the inverse of `perm`,
+/// and the two journals zipped (equal canonical strings assign their name
+/// slots in the same order), with a shifted tail for names allocated
+/// after the merge point.
+fn annot_iso(old: &SymAnnot, perm: &PathPerm, journal: &[u32], names_len: u32) -> Iso {
+    let ids = old
+        .journal
+        .iter()
+        .zip(journal)
+        .filter(|(a, b)| a != b)
+        .map(|(&a, &b)| (a, b))
+        .collect();
+    let shift = i64::from(names_len) - i64::from(old.names_len);
+    Iso::new(old.perm.then(&perm.invert()), ids, old.names_len, shift)
+}
+
+/// The `verify_symmetry` audit of one recorded automorphism: permuting
+/// the stored state's copies by the automorphism's path half must
+/// reproduce the state's canonical key, and its id half must carry the
+/// permuted state's name slots back onto the stored state's — or the
+/// automorphism is not one, and the check panics.
+fn audit_automorphism(sd: &StateData, aut: &Iso) {
+    let (key, journal) = sd.key_and_journal();
+    let (permuted_key, permuted_journal) = sd.permuted(aut.perm()).key_and_journal();
+    assert_eq!(
+        permuted_key, key,
+        "recorded automorphism {aut:?} does not reproduce the state's canonical key"
+    );
+    let renamed: Vec<u32> = permuted_journal.iter().map(|&r| aut.apply_id(r)).collect();
+    assert_eq!(
+        renamed, journal,
+        "recorded automorphism {aut:?} does not map the state's names onto themselves"
+    );
 }
 
 impl Explorer {
@@ -1347,16 +1443,22 @@ impl Explorer {
             steps: gov.steps_spent(),
         };
         let isos = store.isos.into_isos();
+        let automorphisms = store.automorphisms;
         Ok(Lts {
             states,
             stats,
             coverage,
             exhausted: gov.exhausted(),
             frontier,
-            // An all-identity table with no recorded edges means nothing
-            // to undo: ship empty so downstream fast paths stay exact.
-            isos: if edge_isos.is_empty() { Vec::new() } else { isos },
+            // An all-identity table that no edge or automorphism refers
+            // to means nothing to undo: ship it empty.
+            isos: if edge_isos.is_empty() && automorphisms.is_empty() {
+                Vec::new()
+            } else {
+                isos
+            },
             edge_isos,
+            automorphisms,
         })
     }
 
@@ -1551,8 +1653,8 @@ impl Explorer {
             }
             // A candidate-cap overflow falls back to raw keys at intern
             // time; there is nothing quotient-specific to audit then.
-            if let Some((key, _, _)) = signature_min(next, &groups) {
-                verify_orbit_invariance(next, &groups, key, &pinned);
+            if let Some(min) = signature_min(next, &groups) {
+                verify_orbit_invariance(next, &groups, min.key, &pinned);
                 prechecked += 1;
             }
         }
@@ -2692,6 +2794,76 @@ mod tests {
             },
         );
         assert_eq!(unpruned.stats.sym_prechecked, 0);
+    }
+
+    #[test]
+    fn verify_symmetry_audits_every_recorded_automorphism() {
+        // Two unfolded copies that have not diverged yet are
+        // interchangeable: the state maps onto itself by swapping them
+        // (and their nonces).  `verify_symmetry` re-derives the canonical
+        // key under every recorded automorphism and panics on a mismatch,
+        // so surviving the exploration is the assertion.
+        let src = "!((^m) c<m> | c(x).d<x>) | d(y)";
+        let opts = ExploreOptions {
+            unfold_bound: 2,
+            verify_symmetry: true,
+            reduce: ReduceOptions {
+                symmetry: true,
+                por: false,
+            },
+            ..ExploreOptions::default()
+        };
+        let lts = explore(src, opts.clone());
+        assert!(lts.complete());
+        assert!(
+            !lts.automorphisms.is_empty(),
+            "two identical copies make a symmetric state"
+        );
+        for (&s, auts) in &lts.automorphisms {
+            for &a in auts {
+                let aut = &lts.isos[a as usize];
+                assert!(aut.permutes_paths(), "state {s}: {aut:?}");
+                audit_automorphism(&stored(&lts, s), aut);
+            }
+        }
+        // The record is deterministic and part of the fingerprint.
+        let again = explore(src, ExploreOptions { workers: 1, ..opts });
+        assert_eq!(again.automorphisms, lts.automorphisms);
+        assert_eq!(again.fingerprint(), lts.fingerprint());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not map the state's names onto themselves")]
+    fn the_automorphism_audit_rejects_a_wrong_name_map() {
+        let lts = explore(
+            "!((^m) c<m> | c(x).d<x>) | d(y)",
+            ExploreOptions {
+                unfold_bound: 2,
+                reduce: ReduceOptions {
+                    symmetry: true,
+                    por: false,
+                },
+                ..ExploreOptions::default()
+            },
+        );
+        let (&s, auts) = lts.automorphisms.iter().next().expect("a symmetric state");
+        // The right copy swap, but without swapping the copies' nonces.
+        let aut = &lts.isos[auts[0] as usize];
+        audit_automorphism(
+            &stored(&lts, s),
+            &Iso::new(aut.perm().clone(), Vec::new(), 0, 0),
+        );
+    }
+
+    /// The exploration payload of a stored state of an intruder-free,
+    /// fault-free system.
+    fn stored(lts: &Lts, s: usize) -> StateData {
+        StateData {
+            cfg: lts.states[s].config.clone(),
+            knowledge: lts.states[s].knowledge.clone(),
+            fresh_made: 0,
+            net: None,
+        }
     }
 
     #[test]

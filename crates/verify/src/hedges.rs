@@ -40,6 +40,9 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
+use spi_semantics::PathPerm;
+
+use crate::obs::{write_creator, write_path, Names};
 use crate::{ObsEvent, ObsTerm};
 
 /// A general hedge: irreducible indistinguishable message pairs, kept
@@ -268,8 +271,8 @@ fn decompose_enc(l: ObsTerm, r: ObsTerm) -> (ObsTerm, ObsTerm) {
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EnvKnowledge {
     /// Raw nonce → canonical environment index, in first-extraction
-    /// order (dense: the next index is always `map.len()`).
-    map: BTreeMap<u32, usize>,
+    /// order.
+    names: Names,
     /// Planted-bug switch: ciphertexts are opaque to analysis.
     skip_analysis: bool,
 }
@@ -292,24 +295,46 @@ impl EnvKnowledge {
         }
     }
 
+    /// Knowledge picking a run up mid-way: the first `next` environment
+    /// indices are taken, and `seen` maps the raw nonces already
+    /// extracted to theirs.
+    pub(crate) fn resume(&self, seen: &[(u32, u32)], next: u32) -> EnvKnowledge {
+        EnvKnowledge {
+            names: Names::resume(seen, next),
+            skip_analysis: self.skip_analysis,
+        }
+    }
+
+    /// The nonces extracted since the knowledge was resumed, with their
+    /// environment indices.
+    pub(crate) fn named(&self) -> &[(u32, u32)] {
+        self.names.named()
+    }
+
     /// Number of fresh names the environment has extracted so far.
     #[must_use]
     pub fn extracted(&self) -> usize {
-        self.map.len()
+        self.names.len()
     }
 
     /// Renders one observation in canonical environment coordinates,
     /// extending the hedge with any newly extracted fresh names.
     pub fn observe(&mut self, ev: &ObsEvent) -> String {
+        self.observe_in(ev, &PathPerm::identity())
+    }
+
+    /// [`EnvKnowledge::observe`] for an event whose positions are mapped
+    /// through `perm` first.
+    pub(crate) fn observe_in(&mut self, ev: &ObsEvent, perm: &PathPerm) -> String {
         let mut out = String::new();
         let _ = write!(out, "{}!", ev.chan);
-        self.render(&ev.payload, false, &mut out);
+        self.render(&ev.payload, perm, false, &mut out);
         out
     }
 
     /// Renders one term; `opaque` is set inside a ciphertext the hedge
     /// refused to analyze.
-    fn render(&mut self, t: &ObsTerm, opaque: bool, out: &mut String) {
+    fn render(&mut self, t: &ObsTerm, perm: &PathPerm, opaque: bool, out: &mut String) {
         match t {
             ObsTerm::Free(n) => {
                 let _ = write!(out, "f:{n}");
@@ -319,20 +344,19 @@ impl EnvKnowledge {
                     // Under an unanalyzed ciphertext the environment
                     // cannot extract the name, so it gets no index and
                     // occurrences cannot be linked.
-                    let _ = write!(out, "n?@{}", creator.to_bits());
+                    out.push_str("n?@");
                 } else {
-                    let next = self.map.len();
-                    let idx = *self.map.entry(*nonce).or_insert(next);
-                    let _ = write!(out, "n{idx}@{}", creator.to_bits());
+                    let _ = write!(out, "n{}@", self.names.index(*nonce));
                 }
+                write_path(creator, perm, out);
             }
             ObsTerm::Pair(a, b, creator) => {
                 out.push('(');
-                self.render(a, opaque, out);
+                self.render(a, perm, opaque, out);
                 out.push(',');
-                self.render(b, opaque, out);
+                self.render(b, perm, opaque, out);
                 out.push(')');
-                write_creator(creator, out);
+                write_creator(creator.as_ref(), perm, out);
             }
             ObsTerm::Enc(body, key, creator) => {
                 let inner_opaque = opaque || self.skip_analysis;
@@ -341,22 +365,13 @@ impl EnvKnowledge {
                     if i > 0 {
                         out.push(',');
                     }
-                    self.render(x, inner_opaque, out);
+                    self.render(x, perm, inner_opaque, out);
                 }
                 out.push('}');
-                self.render(key, inner_opaque, out);
-                write_creator(creator, out);
+                self.render(key, perm, inner_opaque, out);
+                write_creator(creator.as_ref(), perm, out);
             }
         }
-    }
-}
-
-fn write_creator(creator: &Option<spi_addr::Path>, out: &mut String) {
-    match creator {
-        Some(p) => {
-            let _ = write!(out, "#{}", p.to_bits());
-        }
-        None => out.push_str("#-"),
     }
 }
 

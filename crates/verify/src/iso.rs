@@ -29,17 +29,15 @@
 //! Isos are kept in a *normal form* (identity pairs dropped, pairs sorted,
 //! the floor lowered past any tail-consistent suffix, `floor = 0` when the
 //! tail is the identity), so extensional equality coincides with
-//! structural equality.  [`IsoTable`] interns normal forms; because every
-//! iso arising during extraction maps real-state name spaces (bounded by
-//! the largest name table in the system), the interned set is finite and
-//! iso-aware closures terminate even on τ-cycles whose composed iso is a
-//! non-trivial automorphism.
+//! structural equality, and [`IsoTable`] interns normal forms.
+//!
+//! Trace extraction never composes isos: the weak-visible layer
+//! (`weak.rs`) chains path halves with [`PathPerm::then`] and carries
+//! observed names across an iso through [`Iso::preimages`].
 
 use std::collections::HashMap;
 
 use spi_semantics::PathPerm;
-
-use crate::{ObsEvent, ObsTerm};
 
 /// A state isomorphism in flattened normal form: a path permutation plus
 /// an id map (explicit pairs below `floor`, shifted tail above).
@@ -120,6 +118,12 @@ impl Iso {
         !self.perm.is_identity()
     }
 
+    /// The path half.
+    #[must_use]
+    pub(crate) fn perm(&self) -> &PathPerm {
+        &self.perm
+    }
+
     /// Maps one raw name id.
     #[must_use]
     pub fn apply_id(&self, r: u32) -> u32 {
@@ -132,68 +136,32 @@ impl Iso {
         }
     }
 
-    /// Maps one observation into the target coordinate system.
-    #[must_use]
-    pub fn apply_event(&self, ev: &ObsEvent) -> ObsEvent {
-        if self.is_identity() {
-            return ev.clone();
+    /// Every id [`Iso::apply_id`] maps onto `r`, appended to `out`: the
+    /// sources of explicit pairs landing on `r`, `r` itself when it lies
+    /// below the floor and no pair moves it, and `r − shift` when that
+    /// lies at or above the floor.  This is how trace extraction carries
+    /// observed names across an iso without ever composing one: a name
+    /// observed as `r` in the target system is known in the source as
+    /// each of its preimages.
+    pub(crate) fn preimages(&self, r: u32, out: &mut Vec<u32>) {
+        out.extend(self.ids.iter().filter(|&&(_, b)| b == r).map(|&(a, _)| a));
+        let moved = self.ids.binary_search_by_key(&r, |&(a, _)| a).is_ok();
+        if r < self.floor && !moved {
+            out.push(r);
         }
-        ObsEvent {
-            chan: ev.chan.clone(),
-            payload: self.apply_obs(&ev.payload),
+        if let Ok(t) = u32::try_from(i64::from(r) - self.shift) {
+            if t >= self.floor {
+                out.push(t);
+            }
         }
-    }
-
-    fn apply_obs(&self, t: &ObsTerm) -> ObsTerm {
-        match t {
-            ObsTerm::Free(n) => ObsTerm::Free(n.clone()),
-            ObsTerm::Fresh { nonce, creator } => ObsTerm::Fresh {
-                nonce: self.apply_id(*nonce),
-                creator: self.perm.apply(creator),
-            },
-            ObsTerm::Pair(a, b, creator) => ObsTerm::Pair(
-                Box::new(self.apply_obs(a)),
-                Box::new(self.apply_obs(b)),
-                creator.as_ref().map(|p| self.perm.apply(p)),
-            ),
-            ObsTerm::Enc(body, key, creator) => ObsTerm::Enc(
-                body.iter().map(|x| self.apply_obs(x)).collect(),
-                Box::new(self.apply_obs(key)),
-                creator.as_ref().map(|p| self.perm.apply(p)),
-            ),
-        }
-    }
-
-    /// The composition "`first`, then `then`" (i.e. `then ∘ first`): maps
-    /// through `first` into its target system, then through `then`.
-    #[must_use]
-    pub fn compose(first: &Iso, then: &Iso) -> Iso {
-        if first.is_identity() {
-            return then.clone();
-        }
-        if then.is_identity() {
-            return first.clone();
-        }
-        let shift = first.shift + then.shift;
-        // Beyond F both maps act by their tails (the tail of `first`
-        // lands in the tail region of `then` — merge-side tables line up).
-        let bound = i64::from(first.floor).max(i64::from(then.floor) - first.shift).max(0);
-        let bound = u32::try_from(bound).unwrap_or(u32::MAX);
-        let ids = (0..bound)
-            .map(|r| (r, then.apply_id(first.apply_id(r))))
-            .collect();
-        Iso::new(first.perm.then(&then.perm), ids, bound, shift)
     }
 }
 
-/// An interning table of isomorphisms.  Index `0` is always the identity;
-/// composition results are memoized by operand ids, which keeps iso-aware
-/// closure computations linear in distinct `(iso, iso)` pairs.
+/// An interning table of isomorphisms.  Index `0` is always the identity.
 #[derive(Debug, Clone, Default)]
 pub struct IsoTable {
     isos: Vec<Iso>,
     index: HashMap<Iso, u32>,
-    memo: HashMap<(u32, u32), u32>,
 }
 
 impl IsoTable {
@@ -206,36 +174,10 @@ impl IsoTable {
         t
     }
 
-    /// Rebuilds a table from a stored iso list (index positions are
-    /// preserved; the list must start with the identity, as produced by
-    /// [`IsoTable::into_isos`]).
-    #[must_use]
-    pub fn from_isos(isos: Vec<Iso>) -> IsoTable {
-        if isos.is_empty() {
-            return IsoTable::new();
-        }
-        let index = isos
-            .iter()
-            .enumerate()
-            .map(|(i, iso)| (iso.clone(), i as u32))
-            .collect();
-        IsoTable {
-            isos,
-            index,
-            memo: HashMap::new(),
-        }
-    }
-
     /// The interned isos, identity first.
     #[must_use]
     pub fn into_isos(self) -> Vec<Iso> {
         self.isos
-    }
-
-    /// Returns `true` when only the identity is interned.
-    #[must_use]
-    pub fn is_trivial(&self) -> bool {
-        self.isos.len() <= 1
     }
 
     /// Interns a (normalized) iso, returning its id.
@@ -254,30 +196,12 @@ impl IsoTable {
     pub fn get(&self, id: u32) -> &Iso {
         &self.isos[id as usize]
     }
-
-    /// Memoized composition by id: "`first`, then `then`".
-    pub fn compose_ids(&mut self, first: u32, then: u32) -> u32 {
-        if first == 0 {
-            return then;
-        }
-        if then == 0 {
-            return first;
-        }
-        if let Some(&id) = self.memo.get(&(first, then)) {
-            return id;
-        }
-        let composed = Iso::compose(self.get(first), self.get(then));
-        let id = self.intern(composed);
-        self.memo.insert((first, then), id);
-        id
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use spi_addr::Path;
-    use spi_syntax::Name;
 
     fn p(s: &str) -> Path {
         s.parse().expect("valid path")
@@ -305,34 +229,31 @@ mod tests {
     }
 
     #[test]
-    fn compose_agrees_with_pointwise_application() {
-        let f = Iso::new(PathPerm::identity(), vec![(0, 2), (2, 0)], 4, 1);
-        let g = Iso::new(PathPerm::identity(), vec![(2, 3), (3, 2)], 5, -1);
-        let fg = Iso::compose(&f, &g);
-        for r in 0..50 {
-            assert_eq!(fg.apply_id(r), g.apply_id(f.apply_id(r)), "at {r}");
+    fn preimages_invert_apply_id_pointwise() {
+        let isos = [
+            Iso::new(PathPerm::identity(), vec![(0, 2), (2, 0)], 4, 1),
+            Iso::new(PathPerm::identity(), vec![(2, 3), (3, 2)], 5, -1),
+            Iso::new(PathPerm::identity(), vec![(1, 4), (4, 1)], 6, 3),
+            Iso::new(PathPerm::identity(), vec![(0, 1), (1, 2), (2, 0)], 3, 0),
+        ];
+        for iso in &isos {
+            for r in 0..40 {
+                let mut pre = Vec::new();
+                iso.preimages(r, &mut pre);
+                pre.sort_unstable();
+                let want: Vec<u32> = (0..60).filter(|&x| iso.apply_id(x) == r).collect();
+                assert_eq!(pre, want, "{iso:?} at {r}");
+            }
         }
     }
 
     #[test]
-    fn compose_with_paths_maps_events() {
+    fn the_path_half_moves_copy_roots() {
         let swap = PathPerm::from_pairs([(p("00"), p("010")), (p("010"), p("00"))]);
         let iso = Iso::new(swap, vec![(1, 2), (2, 1)], 3, 0);
-        let ev = ObsEvent {
-            chan: Name::new("o"),
-            payload: ObsTerm::Fresh {
-                nonce: 1,
-                creator: p("001"),
-            },
-        };
-        let mapped = iso.apply_event(&ev);
-        assert_eq!(
-            mapped.payload,
-            ObsTerm::Fresh {
-                nonce: 2,
-                creator: p("0101"),
-            }
-        );
+        assert!(iso.permutes_paths());
+        assert_eq!(iso.perm().apply(&p("001")), p("0101"));
+        assert_eq!(iso.apply_id(1), 2);
     }
 
     #[test]
@@ -342,29 +263,6 @@ mod tests {
         let b = t.intern(Iso::new(PathPerm::identity(), vec![], 3, 2));
         assert_eq!(a, b);
         assert_eq!(t.intern(Iso::identity()), 0);
-        // Composing an iso with its inverse is the identity.
-        let swap = t.intern(Iso::new(PathPerm::identity(), vec![(1, 2), (2, 1)], 3, 0));
-        assert_eq!(t.compose_ids(swap, swap), 0);
-    }
-
-    #[test]
-    fn cyclic_composition_terminates_in_a_finite_group() {
-        // A 3-cycle on ids: composing it with itself repeatedly stays in
-        // the 3-element subgroup the interning table makes finite.
-        let mut t = IsoTable::new();
-        let c = t.intern(Iso::new(
-            PathPerm::identity(),
-            vec![(0, 1), (1, 2), (2, 0)],
-            3,
-            0,
-        ));
-        let mut seen = std::collections::BTreeSet::new();
-        let mut cur = c;
-        for _ in 0..10 {
-            cur = t.compose_ids(cur, c);
-            seen.insert(cur);
-        }
-        assert!(seen.len() <= 3, "{seen:?}");
-        assert!(seen.contains(&0), "the cycle closes at the identity");
+        assert_eq!(t.get(a), &Iso::new(PathPerm::identity(), vec![], 3, 2));
     }
 }

@@ -58,15 +58,17 @@ mod test;
 mod testgen;
 mod traces;
 mod verifier;
+mod weak;
 
 pub use bisim::{
     bisim_preorder, bisim_preorder_sound, bisim_preorder_sound_with, bisim_preorder_with,
     bisim_traces, BisimOptions, Engine,
 };
+pub(crate) use bisim::bisim_preorder_sound_in;
 pub use budget::{Budget, CoverageStats, Governor, ResourceKind};
 pub use hedges::{EnvKnowledge, Hedge};
 pub use campaign::{
-    run_campaign, CampaignOptions, CampaignReport, MinimalCounterexample, ScheduleOutcome,
+    fnv64, run_campaign, CampaignOptions, CampaignReport, MinimalCounterexample, ScheduleOutcome,
     ScheduleResult,
 };
 pub use dot::to_dot;
@@ -85,4 +87,6 @@ pub use testgen::{definition3_preorder, synthesize_testers, tester_barb, Definit
 pub use traces::{
     find_realization, trace_preorder, trace_preorder_sound, weak_traces, TraceSet, TraceVerdict,
 };
+pub(crate) use traces::{find_realization_in, trace_preorder_sound_in};
 pub use verifier::{Attack, EquivDirection, Verdict, VerificationReport, Verifier};
+pub(crate) use weak::WeakLayer;

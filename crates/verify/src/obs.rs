@@ -7,11 +7,10 @@
 //! message, the identity of every name (up to renaming of fresh ones) and
 //! the creator position of every name and composite.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use spi_addr::Path;
-use spi_semantics::{NameTable, RtTerm};
+use spi_semantics::{NameTable, PathPerm, RtTerm};
 use spi_syntax::Name;
 
 /// A message as a tester observes it.
@@ -109,7 +108,7 @@ pub struct ObsEvent {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TraceRenamer {
-    map: HashMap<u32, usize>,
+    names: Names,
 }
 
 impl TraceRenamer {
@@ -119,32 +118,50 @@ impl TraceRenamer {
         TraceRenamer::default()
     }
 
+    /// A renamer picking a trace up mid-way: the first `next` indices
+    /// are taken, and `seen` names the nonces already carrying one.
+    pub(crate) fn resume(seen: &[(u32, u32)], next: u32) -> TraceRenamer {
+        TraceRenamer {
+            names: Names::resume(seen, next),
+        }
+    }
+
+    /// The nonces this renamer named itself, with their indices.
+    pub(crate) fn named(&self) -> &[(u32, u32)] {
+        self.names.named()
+    }
+
     /// Canonicalizes one event, assigning trace-local indices to fresh
     /// names on first occurrence.
     pub fn canon(&mut self, ev: &ObsEvent) -> String {
+        self.canon_in(ev, &PathPerm::identity())
+    }
+
+    /// [`TraceRenamer::canon`] for an event whose positions are mapped
+    /// through `perm` first.
+    pub(crate) fn canon_in(&mut self, ev: &ObsEvent, perm: &PathPerm) -> String {
         let mut out = String::new();
         let _ = write!(out, "{}!", ev.chan);
-        self.canon_term(&ev.payload, &mut out);
+        self.canon_term(&ev.payload, perm, &mut out);
         out
     }
 
-    fn canon_term(&mut self, t: &ObsTerm, out: &mut String) {
+    fn canon_term(&mut self, t: &ObsTerm, perm: &PathPerm, out: &mut String) {
         match t {
             ObsTerm::Free(n) => {
                 let _ = write!(out, "f:{n}");
             }
             ObsTerm::Fresh { nonce, creator } => {
-                let next = self.map.len();
-                let idx = *self.map.entry(*nonce).or_insert(next);
-                let _ = write!(out, "n{idx}@{}", creator.to_bits());
+                let _ = write!(out, "n{}@", self.names.index(*nonce));
+                write_path(creator, perm, out);
             }
             ObsTerm::Pair(a, b, creator) => {
                 out.push('(');
-                self.canon_term(a, out);
+                self.canon_term(a, perm, out);
                 out.push(',');
-                self.canon_term(b, out);
+                self.canon_term(b, perm, out);
                 out.push(')');
-                write_creator(creator, out);
+                write_creator(creator.as_ref(), perm, out);
             }
             ObsTerm::Enc(body, key, creator) => {
                 out.push('{');
@@ -152,20 +169,80 @@ impl TraceRenamer {
                     if i > 0 {
                         out.push(',');
                     }
-                    self.canon_term(x, out);
+                    self.canon_term(x, perm, out);
                 }
                 out.push('}');
-                self.canon_term(key, out);
-                write_creator(creator, out);
+                self.canon_term(key, perm, out);
+                write_creator(creator.as_ref(), perm, out);
             }
         }
     }
 }
 
-fn write_creator(creator: &Option<Path>, out: &mut String) {
+/// Trace-local indices of fresh names, shared by the trace renderer and
+/// the bisimulation engine's environment knowledge: the nonces already
+/// named by an earlier prefix, plus those named since, numbered on from
+/// the first free index in first-occurrence order.
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(crate) struct Names {
+    /// `(nonce, index)` named before this renderer took over, sorted by
+    /// nonce.
+    seen: Vec<(u32, u32)>,
+    /// `(nonce, index)` named since, in first-occurrence order.
+    named: Vec<(u32, u32)>,
+    /// The first free index.
+    next: u32,
+}
+
+impl Names {
+    pub(crate) fn resume(seen: &[(u32, u32)], next: u32) -> Names {
+        Names {
+            seen: seen.to_vec(),
+            named: Vec::new(),
+            next,
+        }
+    }
+
+    /// The nonces named since the prefix this renderer resumed.
+    pub(crate) fn named(&self) -> &[(u32, u32)] {
+        &self.named
+    }
+
+    /// How many indices are taken.
+    pub(crate) fn len(&self) -> usize {
+        self.next as usize
+    }
+
+    /// The index of `nonce`, naming it on first occurrence.
+    pub(crate) fn index(&mut self, nonce: u32) -> u32 {
+        if let Ok(i) = self.seen.binary_search_by_key(&nonce, |&(n, _)| n) {
+            return self.seen[i].1;
+        }
+        if let Some(&(_, idx)) = self.named.iter().find(|(n, _)| *n == nonce) {
+            return idx;
+        }
+        let idx = self.next;
+        self.next += 1;
+        self.named.push((nonce, idx));
+        idx
+    }
+}
+
+/// Writes a position's bits, mapped through `perm`.
+pub(crate) fn write_path(p: &Path, perm: &PathPerm, out: &mut String) {
+    let _ = if perm.is_identity() {
+        p.write_bits(out)
+    } else {
+        perm.apply(p).write_bits(out)
+    };
+}
+
+/// Writes a composite's creator stamp, mapped through `perm`.
+pub(crate) fn write_creator(creator: Option<&Path>, perm: &PathPerm, out: &mut String) {
     match creator {
         Some(p) => {
-            let _ = write!(out, "#{}", p.to_bits());
+            out.push('#');
+            write_path(p, perm, out);
         }
         None => out.push_str("#-"),
     }

@@ -17,9 +17,10 @@ use spi_semantics::{FaultSpec, RoleMap, StepInfo};
 use spi_syntax::{Name, Process};
 
 use crate::{
-    bisim_preorder_sound, find_realization, trace_preorder_sound, Budget, CampaignOptions,
-    CampaignReport, CoverageStats, Engine, ExploreOptions, ExploreStats, Explorer, IntruderSpec,
-    Lts, MinimalCounterexample, ReduceOptions, ResourceKind, StepDesc, TraceVerdict, VerifyError,
+    bisim_preorder_sound_in, find_realization_in, trace_preorder_sound_in, BisimOptions, Budget,
+    CampaignOptions, CampaignReport, CoverageStats, Engine, ExploreOptions, ExploreStats, Explorer,
+    IntruderSpec, Lts, MinimalCounterexample, ReduceOptions, ResourceKind, StepDesc, TraceVerdict,
+    VerifyError, WeakLayer,
 };
 
 /// Which inclusion failed in an equivalence check.
@@ -405,11 +406,15 @@ impl Verifier {
     ) -> Result<VerificationReport, VerifyError> {
         let concrete_lts = self.explore(concrete)?;
         let abstract_lts = self.explore(abstract_spec)?;
+        // One weak-visible layer per side, shared by both engines and by
+        // the narration.
+        let mut concrete_layer = WeakLayer::new(&concrete_lts);
+        let mut abstract_layer = WeakLayer::new(&abstract_lts);
         let (verdict, traces_checked) =
-            match self.decide(&concrete_lts, &abstract_lts)? {
+            match self.decide(&mut concrete_layer, &mut abstract_layer)? {
                 TraceVerdict::Holds { checked } => (Verdict::SecurelyImplements, checked),
                 TraceVerdict::Fails { witness } => {
-                    let narration = self.narrate_witness(&concrete_lts, &witness);
+                    let narration = self.narrate_witness(&mut concrete_layer, &witness);
                     (
                         Verdict::Attack(Attack {
                             trace: witness,
@@ -454,19 +459,22 @@ impl Verifier {
     /// the loud [`VerifyError::EngineDisagreement`].
     fn decide(
         &self,
-        concrete_lts: &Lts,
-        abstract_lts: &Lts,
+        concrete: &mut WeakLayer<'_>,
+        abstract_spec: &mut WeakLayer<'_>,
     ) -> Result<TraceVerdict, VerifyError> {
-        let trace =
-            || trace_preorder_sound(concrete_lts, abstract_lts, self.max_visible);
-        let bisim =
-            || bisim_preorder_sound(concrete_lts, abstract_lts, self.max_visible);
+        let vis = self.max_visible;
+        let bisim_opts = BisimOptions::default();
         match self.engine {
-            Engine::Trace => Ok(trace()),
-            Engine::Bisim => Ok(bisim()),
+            Engine::Trace => Ok(trace_preorder_sound_in(concrete, abstract_spec, vis)),
+            Engine::Bisim => Ok(bisim_preorder_sound_in(
+                concrete,
+                abstract_spec,
+                vis,
+                &bisim_opts,
+            )),
             Engine::Both => {
-                let t = trace();
-                let b = bisim();
+                let t = trace_preorder_sound_in(concrete, abstract_spec, vis);
+                let b = bisim_preorder_sound_in(concrete, abstract_spec, vis, &bisim_opts);
                 if std::mem::discriminant(&t) != std::mem::discriminant(&b) {
                     let witness = [&t, &b]
                         .into_iter()
@@ -637,7 +645,7 @@ impl Verifier {
             ..self.explore_opts()
         };
         let lts = Explorer::new(opts).explore(&self.under_attack(concrete))?;
-        Ok(self.narrate_witness(&lts, &cex.trace))
+        Ok(self.narrate_witness(&mut WeakLayer::new(&lts), &cex.trace))
     }
 
     /// Convenience: the attack found by [`Verifier::check`], if any.
@@ -672,8 +680,9 @@ impl Verifier {
     }
 
     /// Renders the run realizing `witness` in the paper's notation.
-    fn narrate_witness(&self, lts: &Lts, witness: &[String]) -> Vec<String> {
-        let Some(path) = find_realization(lts, witness) else {
+    fn narrate_witness(&self, layer: &mut WeakLayer<'_>, witness: &[String]) -> Vec<String> {
+        let lts = layer.lts();
+        let Some(path) = find_realization_in(layer, witness) else {
             return vec!["(no realization found)".into()];
         };
         let roles = self.role_map();
