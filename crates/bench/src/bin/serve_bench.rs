@@ -28,6 +28,7 @@ use spi_auth::server::{
     coordinate, serve, Client, CoordinatorOptions, ServerHandle, ServerOptions, VerifierEngine,
 };
 use spi_auth::verify::jsonlite::Json;
+use spi_auth::verify::rng::Rng;
 
 const COLD_RUNS: usize = 5;
 const WARM_RUNS: usize = 20;
@@ -81,14 +82,6 @@ fn percentile(samples: &mut [f64], pct: usize) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let rank = (samples.len() * pct).div_ceil(100).max(1);
     samples[rank.min(samples.len()) - 1]
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The fleet working set: distinct digests (the `visible` bound is
@@ -286,10 +279,10 @@ fn fleet_record(n: usize, questions: &[String], cache_bytes: usize) -> FleetReco
     for q in questions {
         let _ = sample_ms(&mut client, q);
     }
-    let mut rng = 0x5eed_u64 ^ n as u64;
+    let mut rng = Rng::new(0x5eed_u64 ^ n as u64, 0);
     let started = Instant::now();
     for _ in 0..FLEET_WARM_RUNS {
-        let q = &questions[usize::try_from(splitmix(&mut rng)).unwrap_or(0) % questions.len()];
+        let q = rng.pick(questions);
         let _ = sample_ms(&mut client, q);
     }
     let elapsed = started.elapsed().as_secs_f64();

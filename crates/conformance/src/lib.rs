@@ -26,9 +26,12 @@
 pub mod corpus;
 pub mod gen;
 pub mod oracle;
-pub mod rng;
 pub mod runner;
 pub mod shrink;
+
+/// The seeded stream cases are drawn from (shared with the fleet's
+/// chaos plans).
+pub use spi_verify::rng;
 
 pub use gen::{generate, GenSize, TestCase};
 pub use oracle::{

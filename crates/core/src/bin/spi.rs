@@ -96,7 +96,6 @@ use std::process::ExitCode;
 use spi_auth::protocols::compile::{compile_abstract, compile_concrete, CompileOptions};
 use spi_auth::protocols::narration::Narration;
 use spi_auth::semantics::{Config, Narrator, RoleMap};
-use spi_auth::syntax::parse;
 use spi_auth::{propositions, Budget, FaultClause, FaultSpec, Verdict, Verifier};
 
 fn main() -> ExitCode {
@@ -209,28 +208,15 @@ fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-/// Parses either a bare process or a program file (`def … system …`).
-fn parse_any(src: &str) -> Result<spi_auth::syntax::Process, spi_auth::syntax::SyntaxError> {
-    if src
-        .lines()
-        .any(|l| l.trim_start().starts_with("def ") || l.trim_start().starts_with("system"))
-    {
-        spi_auth::syntax::parse_program(src).map(|prog| prog.system)
-    } else {
-        parse(src)
-    }
-}
-
-/// Parses a process source, rendering any error to stderr.  A failed
-/// parse is exit code 1 (like `spi parse`), not a usage error.
+/// Parses a process source — a bare process or a program file
+/// (`def … system …`), the rule the server applies too — rendering any
+/// error to stderr.  A failed parse is exit code 1 (like `spi parse`),
+/// not a usage error.
 fn parse_or_fail(src: &str) -> Result<spi_auth::syntax::Process, ExitCode> {
-    match parse_any(src) {
-        Ok(p) => Ok(p),
-        Err(e) => {
-            eprintln!("{}", e.render(src));
-            Err(ExitCode::FAILURE)
-        }
-    }
+    spi_auth::server::parse_source(src).map_err(|rendered| {
+        eprintln!("{rendered}");
+        ExitCode::FAILURE
+    })
 }
 
 fn cmd_parse(args: &[String]) -> Result<ExitCode, String> {
@@ -239,7 +225,7 @@ fn cmd_parse(args: &[String]) -> Result<ExitCode, String> {
         return Err("parse expects one file".into());
     };
     let src = read(path)?;
-    match parse_any(&src) {
+    match spi_auth::server::parse_source(&src) {
         Ok(p) => {
             println!("{p}");
             let free = p.free_names();
@@ -249,8 +235,8 @@ fn cmd_parse(args: &[String]) -> Result<ExitCode, String> {
             }
             Ok(ExitCode::SUCCESS)
         }
-        Err(e) => {
-            eprintln!("{}", e.render(&src));
+        Err(rendered) => {
+            eprintln!("{rendered}");
             Ok(ExitCode::FAILURE)
         }
     }
@@ -924,35 +910,17 @@ fn client_send(
 
 /// Runs a job request on an in-process engine — the client's graceful
 /// degradation when the server stays unreachable (`--fallback local`).
-/// The response envelope matches the daemon's, marked `"via":"local"`.
-fn run_job_locally(line: &str) -> Result<String, String> {
-    use spi_auth::server::{
-        error_response, ok_response, parse_request, Engine, FullEngine, Request, RunControl,
-    };
-    use spi_auth::verify::jsonlite::Json;
+/// The response envelope matches the daemon's, marked `"via":"local"`;
+/// a `deadline_ms` counts from `started`, when the client first tried
+/// to send the request.
+fn run_job_locally(line: &str, started: std::time::Instant) -> Result<String, String> {
+    use spi_auth::server::{parse_request, run_locally, FullEngine, Request};
     let Request::Job(job) = parse_request(line)? else {
         return Err("only verify/campaign/replay requests can fall back to local".into());
     };
     let digest = job.digest()?;
-    let op = job.mode.keyword();
-    let ctl = RunControl {
-        deadline: job
-            .timeout_secs
-            .map(|s| std::time::Instant::now() + std::time::Duration::from_secs(s)),
-        cancel: std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false)),
-        progress: None,
-    };
-    let envelope = match FullEngine::new(Some(1)).run(&job, &ctl).body {
-        Ok(body) => {
-            let mut env = ok_response(op, Some(&digest), false, body);
-            if let Json::Obj(fields) = &mut env {
-                fields.push(("via".to_string(), Json::str("local")));
-            }
-            env
-        }
-        Err(e) => error_response(op, &e),
-    };
-    Ok(envelope.render_compact())
+    let cancel = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    Ok(run_locally(&FullEngine::new(Some(1)), &job, &digest, started, cancel).0)
 }
 
 /// Adds `"progress_ms":MS` to a job request line (verify, campaign,
@@ -1028,11 +996,12 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
                 eprintln!("{beat}");
             }
         };
+        let started = std::time::Instant::now();
         let response = match client_send(&net, &mut cached, &line, &mut on_progress) {
             Ok(r) => r,
             Err(e) if net.fallback_local => {
                 eprintln!("spi-client: {} unreachable ({e}); running locally", net.addr);
-                run_job_locally(&line)?
+                run_job_locally(&line, started)?
             }
             Err(e) => return Err(format!("cannot reach {}: {e}", net.addr)),
         };

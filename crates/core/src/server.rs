@@ -9,9 +9,9 @@
 //! the response body.
 
 pub use spi_server::{
-    campaign_body, coordinate, error_response, ok_response, oneshot, parse_request,
-    progress_response, pull_from, push_to, rejected_response, serve, shed_response, verify_body,
-    CacheHandle, ChaosEvent, ChaosPlan, Client, CoordinatorHandle, CoordinatorOptions,
+    campaign_body, coordinate, error_response, ok_response, oneshot, parse_request, parse_source,
+    progress_response, pull_from, push_to, rejected_response, run_locally, serve, shed_response,
+    verify_body, CacheHandle, ChaosEvent, ChaosPlan, Client, CoordinatorHandle, CoordinatorOptions,
     CoordinatorShutdown, Engine, EngineOutcome, JobRequest, Membership, Mode, Priority, Request,
     ResultCache, Ring, RunControl, ServerHandle, ServerOptions, ShutdownHandle, Singleflight,
     TenantQuotas, VerifierEngine,
@@ -127,25 +127,11 @@ mod tests {
 
     fn replay_job(spec: &str, oracles: &[&str]) -> JobRequest {
         JobRequest {
-            mode: Mode::ConformanceReplay,
-            concrete: spec.to_string(),
-            abstract_spec: String::new(),
-            channels: vec!["c".into()],
             sessions: 1,
             visible: 4,
-            budget: spi_verify::Budget::default(),
-            faults: None,
-            intruder: true,
             faults_depth: 1,
             oracles: oracles.iter().map(ToString::to_string).collect(),
-            timeout_secs: None,
-            no_cache: false,
-            tenant: None,
-            deadline_ms: None,
-            progress_ms: None,
-            unit: None,
-            reduce: spi_verify::ReduceOptions::none(),
-            engine: spi_verify::Engine::Trace,
+            ..JobRequest::new(Mode::ConformanceReplay, spec, "")
         }
     }
 

@@ -16,6 +16,7 @@
 //! re-dispatch path the fleet exists to get right.
 
 use spi_verify::jsonlite::Json;
+use spi_verify::rng::Rng;
 
 /// One injected fleet fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,17 +72,6 @@ pub struct ChaosPlan {
     pub events: Vec<(usize, ChaosEvent)>,
 }
 
-/// SplitMix64 — the tiny, well-mixed PRNG the vendored rand shim also
-/// builds on.  Good enough to scatter a handful of events; no
-/// cryptographic claims.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl ChaosPlan {
     /// Expands `seed` into a schedule covering `horizon` requests.
     ///
@@ -91,23 +81,23 @@ impl ChaosPlan {
     /// from all three kinds, spaced pseudo-randomly.
     #[must_use]
     pub fn generate(seed: u64, horizon: usize) -> ChaosPlan {
-        let mut state = seed ^ 0xc3a5_c85c_97cb_3127;
+        let mut rng = Rng::new(seed ^ 0xc3a5_c85c_97cb_3127, 0);
         let mut events = Vec::new();
         let horizon = horizon.max(3);
         // The guaranteed early kill.
-        let first_at = 1 + usize::try_from(splitmix64(&mut state)).unwrap_or(0) % (horizon / 3);
-        let victim = usize::try_from(splitmix64(&mut state)).unwrap_or(0) % 8;
+        let first_at = 1 + usize::try_from(rng.next_u64()).unwrap_or(0) % (horizon / 3);
+        let victim = usize::try_from(rng.next_u64()).unwrap_or(0) % 8;
         events.push((first_at, ChaosEvent::KillWorker { victim }));
         // Subsequent events, spaced by 1..horizon/2 requests.
         let mut at = first_at;
         loop {
-            at += 1 + usize::try_from(splitmix64(&mut state)).unwrap_or(0) % (horizon / 2).max(1);
+            at += 1 + usize::try_from(rng.next_u64()).unwrap_or(0) % (horizon / 2).max(1);
             if at >= horizon {
                 break;
             }
-            let kind = splitmix64(&mut state) % 3;
-            let victim = usize::try_from(splitmix64(&mut state)).unwrap_or(0) % 8;
-            let span = 1 + usize::try_from(splitmix64(&mut state)).unwrap_or(0) % 4;
+            let kind = rng.next_u64() % 3;
+            let victim = usize::try_from(rng.next_u64()).unwrap_or(0) % 8;
+            let span = 1 + usize::try_from(rng.next_u64()).unwrap_or(0) % 4;
             let event = match kind {
                 0 => ChaosEvent::KillWorker { victim },
                 1 => ChaosEvent::DropHeartbeats { requests: span },
@@ -186,6 +176,23 @@ mod tests {
                 last = *at;
             }
         }
+    }
+
+    #[test]
+    fn the_ci_seed_expands_to_a_pinned_plan() {
+        use ChaosEvent::{DropHeartbeats, KillWorker, Partition};
+        assert_eq!(
+            ChaosPlan::generate(3_405_691_582, 30).events,
+            [
+                (2, KillWorker { victim: 2 }),
+                (6, Partition { victim: 6, requests: 3 }),
+                (8, Partition { victim: 0, requests: 2 }),
+                (10, DropHeartbeats { requests: 4 }),
+                (15, KillWorker { victim: 7 }),
+                (19, KillWorker { victim: 4 }),
+                (27, Partition { victim: 3, requests: 1 }),
+            ]
+        );
     }
 
     #[test]

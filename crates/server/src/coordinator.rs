@@ -44,14 +44,15 @@ use std::time::{Duration, Instant};
 use spi_semantics::FaultKind;
 use spi_verify::faultsim::multi_fault_schedules;
 use spi_verify::jsonlite::Json;
+use spi_verify::{CampaignReport, ScheduleResult};
 
 use crate::chaos::{ChaosEvent, ChaosPlan};
 use crate::client::Client;
 use crate::flight::Singleflight;
 use crate::protocol::{
-    error_response, ok_response, parse_request, JobRequest, Mode, Request,
+    campaign_body, error_response, ok_response, parse_request, JobRequest, Mode, Request,
 };
-use crate::service::{read_line_capped, Engine, Histogram, RunControl};
+use crate::service::{read_line_capped, run_locally, Engine, Histogram, RunControl};
 use crate::shard::Ring;
 use crate::Membership;
 
@@ -556,6 +557,7 @@ fn status_of(reply: &str) -> Option<String> {
 }
 
 fn handle_job(coord: &Arc<Coord>, job: &JobRequest) -> String {
+    let accepted = Instant::now();
     let idx = coord.requests.fetch_add(1, Ordering::SeqCst);
     apply_chaos(coord, idx);
     let op = job.mode.keyword();
@@ -566,20 +568,21 @@ fn handle_job(coord: &Arc<Coord>, job: &JobRequest) -> String {
     if job.no_cache {
         // A cache-bypassing request asked for a fresh run; collapsing
         // it onto a concurrent duplicate would hand it stale bytes.
-        return dispatch_job(coord, idx, job, &digest);
+        return dispatch_job(coord, idx, job, &digest, accepted).0;
     }
     loop {
         if coord.flight.begin(&digest) {
-            let reply = dispatch_job(coord, idx, job, &digest);
-            if status_of(&reply).as_deref() == Some("ok") {
+            let (reply, complete) = dispatch_job(coord, idx, job, &digest, accepted);
+            if complete && status_of(&reply).as_deref() == Some("ok") {
                 remember_reply(coord, &digest, &reply);
             }
             coord.flight.finish(&digest);
             return reply;
         }
         // A concurrent duplicate: park behind the leader, then answer
-        // from its reply.  A miss means the leader failed without an
-        // ok — loop around and become the next leader.
+        // from its reply.  A miss means the leader failed, or its
+        // answer may have been cut short by its own time limit — loop
+        // around and become the next leader.
         coord.flight_collapsed.fetch_add(1, Ordering::SeqCst);
         coord.flight.wait(&digest);
         if let Some(reply) = recall_reply(coord, &digest) {
@@ -590,20 +593,35 @@ fn handle_job(coord: &Arc<Coord>, job: &JobRequest) -> String {
 
 /// The dispatch body shared by flight leaders and `no_cache` bypasses:
 /// campaign fan-out when worthwhile, otherwise ring routing with local
-/// degradation.
-fn dispatch_job(coord: &Arc<Coord>, idx: u64, job: &JobRequest, digest: &str) -> String {
+/// degradation.  The flag says whether the reply is known complete, so
+/// that a concurrent duplicate may be answered with it.
+fn dispatch_job(
+    coord: &Arc<Coord>,
+    idx: u64,
+    job: &JobRequest,
+    digest: &str,
+    accepted: Instant,
+) -> (String, bool) {
     if job.mode == Mode::Campaign && job.unit.is_none() {
-        if let Some(response) = campaign_fanout(coord, idx, job, digest) {
-            return response;
+        if let Some(reply) = campaign_fanout(coord, idx, job, digest, accepted) {
+            return reply;
         }
     }
     match try_route(coord, idx, job, digest) {
         Ok(reply) => {
             coord.routed.fetch_add(1, Ordering::SeqCst);
-            reply
+            (reply, unlimited(job))
         }
-        Err(_) => run_local(coord, job, digest),
+        Err(_) => run_local(coord, job, digest, accepted),
     }
+}
+
+/// Whether a fleet reply to `job` is known complete.  A worker's reply
+/// does not say whether the wall clock cut its run short, so only the
+/// reply to a job with no time limit of its own qualifies (a local run
+/// reports [`crate::EngineOutcome::cacheable`] instead).
+fn unlimited(job: &JobRequest) -> bool {
+    job.timeout_secs.is_none() && job.deadline_ms.is_none()
 }
 
 fn remember_reply(coord: &Arc<Coord>, digest: &str, reply: &str) {
@@ -775,27 +793,16 @@ fn dispatch_hedged(
 }
 
 /// Runs the job on the coordinator's own engine (quorum lost or every
-/// route exhausted) and marks the envelope `"via":"local"`.
-fn run_local(coord: &Arc<Coord>, job: &JobRequest, digest: &str) -> String {
+/// route exhausted); see [`run_locally`].
+fn run_local(
+    coord: &Arc<Coord>,
+    job: &JobRequest,
+    digest: &str,
+    accepted: Instant,
+) -> (String, bool) {
     coord.local_runs.fetch_add(1, Ordering::SeqCst);
-    let op = job.mode.keyword();
-    let ctl = RunControl {
-        deadline: job
-            .timeout_secs
-            .map(|s| Instant::now() + Duration::from_secs(s)),
-        cancel: Arc::clone(&coord.cancel),
-        progress: None,
-    };
-    match coord.engine.run(job, &ctl).body {
-        Ok(body) => {
-            let mut envelope = ok_response(op, Some(digest), false, body);
-            if let Json::Obj(fields) = &mut envelope {
-                fields.push(("via".to_string(), Json::str("local")));
-            }
-            envelope.render_compact()
-        }
-        Err(e) => error_response(op, &e).render_compact(),
-    }
+    let cancel = Arc::clone(&coord.cancel);
+    run_locally(&*coord.engine, job, digest, accepted, cancel)
 }
 
 /// Per-unit outcomes, indexed by unit position in the enumeration.
@@ -805,7 +812,13 @@ type UnitSlots = Vec<Option<Result<Json, String>>>;
 /// the fleet, stitched back into the byte-identical single-process
 /// report.  Returns `None` when splitting is not worthwhile (few
 /// schedules or no routable fleet) — the caller routes it whole.
-fn campaign_fanout(coord: &Arc<Coord>, idx: u64, job: &JobRequest, digest: &str) -> Option<String> {
+fn campaign_fanout(
+    coord: &Arc<Coord>,
+    idx: u64,
+    job: &JobRequest,
+    digest: &str,
+    accepted: Instant,
+) -> Option<(String, bool)> {
     let total = multi_fault_schedules(
         job.channels.iter().cloned(),
         &FaultKind::ALL,
@@ -837,7 +850,7 @@ fn campaign_fanout(coord: &Arc<Coord>, idx: u64, job: &JobRequest, digest: &str)
             std::thread::spawn(move || loop {
                 let next = pending.lock().expect("unit queue").pop_front();
                 let Some(unit_index) = next else { break };
-                let result = run_unit(&coord, idx, &job, unit_index, unit);
+                let result = run_unit(&coord, idx, &job, unit_index, unit, accepted);
                 slots.lock().expect("unit slots")[unit_index] = Some(result);
             })
         })
@@ -849,8 +862,10 @@ fn campaign_fanout(coord: &Arc<Coord>, idx: u64, job: &JobRequest, digest: &str)
         .expect("dispatchers joined")
         .into_inner()
         .expect("unit slots");
-    merge_units(job, digest, total, slots)
-        .or_else(|| Some(run_local(coord, job, digest)))
+    Some(match merge_units(job, digest, total, slots) {
+        Some(merged) => (merged, unlimited(job)),
+        None => run_local(coord, job, digest, accepted),
+    })
 }
 
 /// Decides one work unit: routed through the ring when possible, run
@@ -862,6 +877,7 @@ fn run_unit(
     job: &JobRequest,
     unit_index: usize,
     unit: usize,
+    accepted: Instant,
 ) -> Result<Json, String> {
     let sub = job.with_unit(unit_index * unit, unit);
     let sub_digest = sub.digest()?;
@@ -884,9 +900,7 @@ fn run_unit(
             coord.redispatched.fetch_add(1, Ordering::SeqCst);
             coord.local_runs.fetch_add(1, Ordering::SeqCst);
             let ctl = RunControl {
-                deadline: sub
-                    .timeout_secs
-                    .map(|s| Instant::now() + Duration::from_secs(s)),
+                deadline: sub.deadline(accepted, None),
                 cancel: Arc::clone(&coord.cancel),
                 progress: None,
             };
@@ -897,61 +911,41 @@ fn run_unit(
 
 /// Stitches unit bodies back into the single-process campaign body:
 /// identical `identity`/`enumerated` across units, results
-/// concatenated in unit order, tallies recomputed.  Any inconsistent
-/// or failed unit aborts the merge (the caller falls back to a local
-/// full run rather than serving a frankenreport).
+/// concatenated in unit order, early rejects summed, and the whole
+/// re-encoded by [`campaign_body`].  Any inconsistent, interrupted or
+/// failed unit aborts the merge (the caller falls back to a local full
+/// run rather than serving a frankenreport).
 fn merge_units(job: &JobRequest, digest: &str, total: usize, slots: UnitSlots) -> Option<String> {
-    let mut identity: Option<String> = None;
-    let mut results: Vec<Json> = Vec::with_capacity(total);
-    let (mut attacks, mut survives, mut inconclusive) = (0usize, 0usize, 0usize);
-    let mut early_rejects: i64 = 0;
-    for slot in slots {
-        let body = match slot {
-            Some(Ok(body)) => body,
-            _ => return None,
-        };
-        if body.get("enumerated").and_then(Json::as_int)
-            != Some(i64::try_from(total).ok()?)
+    let mut report = CampaignReport {
+        results: Vec::with_capacity(total),
+        enumerated: total,
+        resumed: 0,
+        fresh: 0,
+        interrupted: false,
+        early_rejects: 0,
+        identity: String::new(),
+    };
+    for (index, slot) in slots.into_iter().enumerate() {
+        let body = slot?.ok()?;
+        let identity = body.get("identity").and_then(Json::as_str)?;
+        if index == 0 {
+            report.identity = identity.to_string();
+        }
+        if identity != report.identity
+            || body.get("enumerated").and_then(Json::as_int) != i64::try_from(total).ok()
+            || body.get("interrupted").and_then(Json::as_bool) != Some(false)
         {
             return None;
         }
-        let unit_identity = body.get("identity").and_then(Json::as_str)?.to_string();
-        match &identity {
-            None => identity = Some(unit_identity),
-            Some(seen) if *seen == unit_identity => {}
-            Some(_) => return None,
-        }
-        if body.get("interrupted").and_then(Json::as_bool) != Some(false) {
-            return None;
-        }
-        // Present only when the unit's bisim fast path fired (see
-        // `protocol::campaign_body`); the merged counter is the sum.
-        early_rejects += body.get("early_rejects").and_then(Json::as_int).unwrap_or(0);
+        // Present only when the unit's bisim fast path fired.
+        let rejects = body.get("early_rejects").and_then(Json::as_int);
+        report.early_rejects += u64::try_from(rejects.unwrap_or(0)).ok()?;
         for r in body.get("results").and_then(Json::as_arr)? {
-            match r.get("outcome").and_then(Json::as_str) {
-                Some("attack") => attacks += 1,
-                Some("survives") => survives += 1,
-                Some("inconclusive") => inconclusive += 1,
-                _ => return None,
-            }
-            results.push(r.clone());
+            report.results.push(ScheduleResult::from_json(r).ok()?);
         }
     }
-    let identity = identity?;
-    // The exact field order of `protocol::campaign_body`.
-    let mut fields = vec![
-        ("enumerated".to_string(), Json::count(total)),
-        ("attacks".into(), Json::count(attacks)),
-        ("survives".into(), Json::count(survives)),
-        ("inconclusive".into(), Json::count(inconclusive)),
-        ("interrupted".into(), Json::Bool(false)),
-        ("identity".into(), Json::str(identity)),
-    ];
-    if early_rejects > 0 {
-        fields.push(("early_rejects".into(), Json::Int(early_rejects)));
-    }
-    fields.push(("results".into(), Json::Arr(results)));
-    let body = Json::Obj(fields);
+    report.fresh = report.results.len();
+    let body = campaign_body(&report);
     let mut envelope = ok_response(job.mode.keyword(), Some(digest), false, body);
     if let Json::Obj(fields) = &mut envelope {
         fields.push(("via".to_string(), Json::str("fleet")));

@@ -84,7 +84,7 @@ pub use protocol::{
 };
 pub use reactor::Poller;
 pub use service::{
-    serve, CacheHandle, Engine, EngineOutcome, RunControl, ServerHandle, ServerOptions,
-    ShutdownHandle, VerifierEngine,
+    run_locally, serve, CacheHandle, Engine, EngineOutcome, RunControl, ServerHandle,
+    ServerOptions, ShutdownHandle, VerifierEngine,
 };
 pub use shard::Ring;

@@ -10,28 +10,47 @@
 //! ```
 //!
 //! Job ops (`verify`, `campaign`, `conformance-replay`) carry their
-//! specs inline (`"concrete"`, `"abstract"`, `"spec"`) or as
-//! server-side paths (`"concrete_path"`, …), plus the same knobs the
-//! CLI exposes: `channels`, `sessions`, `visible`, `budget` (the
-//! `dimension=count` spelling of [`Budget::parse_spec`]), `faults`
-//! (comma-separated clauses), `intruder`, `faults_depth`, `oracles`,
-//! `timeout_secs`, and `no_cache`.  Campaign jobs may carry a
-//! `"unit":{"offset":N,"count":M}` work-unit restriction (how a fleet
-//! coordinator shards one campaign), plus three execution-only knobs
-//! that never enter the content digest: `tenant` (the quota-accounting
-//! id, defaulting to the peer address), `deadline_ms` (a relative
-//! wall-clock deadline folded into the server-side cut-off), and
-//! `progress_ms` (ask for `{"status":"progress",…}` heartbeat lines at
-//! that interval while the job runs; the final reply is always the
-//! first non-progress line).  Control ops are `ping`, `stats`,
-//! `shutdown`, `join` (worker registration/heartbeat), `leave` (a
-//! worker announcing drain, optionally handing off its cache), `gossip`
-//! (cache-warming pull), and `gossip-push` (digest-guarded cache
-//! handoff from a coordinator).
+//! specs inline (`"concrete"` and `"abstract"`; `"spec"` for a replay)
+//! or as server-side paths (`"concrete_path"`, …), plus optional
+//! fields, each declared once in one table that reading, re-rendering
+//! and digesting all walk:
+//!
+//! | field | default | in the digest |
+//! |---|---|---|
+//! | `channels` | `["c"]` | as `C` |
+//! | `sessions` | 2 | yes |
+//! | `visible` | 6 | yes |
+//! | `budget` | `states=50000` ([`Budget::parse_spec`]) | spelled canonically |
+//! | `intruder` | `true` | yes |
+//! | `faults` | none (comma-separated clauses) | as the canonical key |
+//! | `reduce` | `none` | only when not `none` |
+//! | `engine` | `trace` | only when not `trace` |
+//! | `faults_depth` | 2 | campaigns only, as `depth` |
+//! | `oracles` | `[]` (the default suite) | conformance replays only |
+//! | `unit` | none (`{"offset":N,"count":M}`) | when given |
+//! | `timeout_secs` | none | no |
+//! | `no_cache` | `false` | no |
+//! | `tenant` | the peer address | no |
+//! | `deadline_ms` | none | no |
+//! | `progress_ms` | none | no |
+//!
+//! `unit` restricts a campaign to one work unit (how a fleet
+//! coordinator shards one campaign).  The last five fields are
+//! execution-only: `tenant` is the quota-accounting id, `deadline_ms`
+//! a wall-clock limit counted from arrival (the tighter of it and
+//! `timeout_secs` applies), and `progress_ms` asks for
+//! `{"status":"progress",…}` heartbeat lines at that interval while the
+//! job runs (the final reply is always the first non-progress line).
+//! Control ops are `ping`, `stats`, `shutdown`, `join` (worker
+//! registration/heartbeat), `leave` (a worker announcing drain,
+//! optionally handing off its cache), `gossip` (cache-warming pull),
+//! and `gossip-push` (digest-guarded cache handoff from a coordinator).
 //!
 //! The verify/campaign **body encoders** here are the single source of
 //! the JSON result shapes: the daemon, the cache snapshot, and the
 //! CLI's `--format json` all call [`verify_body`] / [`campaign_body`].
+
+use std::time::{Duration, Instant};
 
 use spi_semantics::{FaultClause, FaultSpec};
 use spi_syntax::Process;
@@ -108,7 +127,11 @@ pub enum Request {
     Job(Box<JobRequest>),
 }
 
-/// A fully resolved job: spec sources loaded, options defaulted.
+/// A fully resolved job: spec sources loaded, options defaulted.  The
+/// options are the wire fields of the module-level table; each is
+/// declared once, in the table behind [`JobRequest::canonical`],
+/// [`JobRequest::wire_json`] and [`parse_request`], and defaulted in
+/// [`JobRequest::new`].
 #[derive(Debug, Clone)]
 pub struct JobRequest {
     /// What to run.
@@ -133,42 +156,27 @@ pub struct JobRequest {
     pub faults_depth: usize,
     /// Conformance-replay oracle selection (empty = the default suite).
     pub oracles: Vec<String>,
-    /// Which state-space reductions the explorations run under.  Part
-    /// of the canonical description (the reduced and unreduced state
-    /// spaces answer the same question, but cached bodies carry
-    /// reduction statistics, so the digests must differ).
+    /// Which state-space reductions the explorations run under (cached
+    /// bodies carry reduction statistics, so it enters the digest).
     pub reduce: ReduceOptions,
-    /// Which decision procedure(s) answer the job.  Part of the
-    /// canonical description — the trace and bisimulation engines agree
-    /// on verdicts, but cached bodies differ (engine tag, early-reject
-    /// counters), so a bisim result must never be served for a trace
-    /// request or vice versa.  Old clients never send the field; it
-    /// defaults to [`Engine::Trace`] and stays out of the digest there,
-    /// so pre-engine cache entries remain addressable.
+    /// Which decision procedure(s) answer the job (cached bodies differ
+    /// by engine, so it enters the digest).
     pub engine: Engine,
-    /// Per-request wall-clock limit.
+    /// Wall-clock limit, counted from execution start.
     pub timeout_secs: Option<u64>,
     /// Bypass the result cache (both lookup and fill).
     pub no_cache: bool,
-    /// The quota-accounting tenant id.  Execution-only: it decides
-    /// *whether* the server admits the job, never what the answer is,
-    /// so it stays out of the content digest.  Defaults server-side to
-    /// the peer address when absent.
+    /// The quota-accounting tenant id (the server defaults it to the
+    /// peer address).
     pub tenant: Option<String>,
-    /// Relative wall-clock deadline in milliseconds, folded into the
-    /// server-side cut-off as `min(timeout_secs, deadline_ms)`.
-    /// Execution-only, like `timeout_secs`.
+    /// Wall-clock limit in milliseconds, counted from arrival.
     pub deadline_ms: Option<u64>,
-    /// Heartbeat interval in milliseconds: while the job runs, the
-    /// server emits `{"status":"progress",…}` lines at this cadence.
-    /// `None` (or 0) streams nothing.  Execution-only.
+    /// Heartbeat interval in milliseconds (`None` or 0 streams nothing).
     pub progress_ms: Option<u64>,
     /// Campaign work unit: decide only the schedules at enumeration
-    /// indices `[offset, offset + count)`.  This is how a fleet
-    /// coordinator shards one campaign across workers; units are part
-    /// of the canonical description, so each unit's result is
-    /// content-addressed independently and re-dispatching a unit after
-    /// a worker death is idempotent.
+    /// indices `[offset, offset + count)`.  Each unit is its own
+    /// question, so re-dispatching one after a worker death is
+    /// idempotent.
     pub unit: Option<(usize, usize)>,
 }
 
@@ -191,14 +199,291 @@ pub fn parse_source(src: &str) -> Result<Process, String> {
     result.map_err(|e| e.render(src))
 }
 
+/// How a job field enters the canonical description.
+enum Digest {
+    /// Execution-only: the field changes when (and whether) an answer
+    /// arrives, never what it is.
+    Never,
+    /// `|key=value` whenever the function yields a value.
+    Clause(fn(&JobRequest) -> Option<String>),
+    /// The same under another label (`C` and `depth`, the spellings
+    /// digests have always used).
+    Labelled(&'static str, fn(&JobRequest) -> Option<String>),
+}
+
+/// One job option: its wire key, how a wire value is read, how it is
+/// written back, and its digest clause.
+struct Field {
+    key: &'static str,
+    /// Reads a present wire value (`key`, value) into the job; an
+    /// absent key keeps the [`JobRequest::new`] default.
+    read: fn(&mut JobRequest, &str, &Json) -> Result<(), String>,
+    /// The wire value, or `None` to omit the key.
+    write: fn(&JobRequest) -> Option<Json>,
+    digest: Digest,
+}
+
+/// The two members of a `unit` object.
+const UNIT_PARTS: [&str; 2] = ["offset", "count"];
+
+/// Every job option, in the order of its digest clause.  Clauses that
+/// appear only off their default (`reduce`, `engine`, `unit`) keep the
+/// digests of requests that predate them.
+const FIELDS: &[Field] = &[
+    Field {
+        key: "channels",
+        read: |job, key, v| {
+            // An empty list keeps the default.
+            let listed = strings(key, v)?;
+            if !listed.is_empty() {
+                job.channels = listed;
+            }
+            Ok(())
+        },
+        write: |job| Some(Json::str_arr(job.channels.iter().cloned())),
+        digest: Digest::Labelled("C", |job| Some(job.channels.join(","))),
+    },
+    Field {
+        key: "sessions",
+        read: |job, key, v| set(&mut job.sessions, int(key, v)),
+        write: |job| Some(Json::Int(i64::from(job.sessions))),
+        digest: Digest::Clause(|job| Some(job.sessions.to_string())),
+    },
+    Field {
+        key: "visible",
+        read: |job, key, v| set(&mut job.visible, int(key, v)),
+        write: |job| Some(Json::count(job.visible)),
+        digest: Digest::Clause(|job| Some(job.visible.to_string())),
+    },
+    Field {
+        key: "budget",
+        read: |job, key, v| {
+            set(&mut job.budget, Budget::parse_spec(text(key, v, "a dimension=count string")?))
+        },
+        write: |job| Some(Json::str(job.budget.canonical_spec())),
+        digest: Digest::Clause(|job| Some(job.budget.canonical_spec())),
+    },
+    Field {
+        key: "intruder",
+        read: |job, key, v| set(&mut job.intruder, flag(key, v)),
+        write: |job| Some(Json::Bool(job.intruder)),
+        digest: Digest::Clause(|job| Some(job.intruder.to_string())),
+    },
+    Field {
+        key: "faults",
+        read: |job, key, v| {
+            set(&mut job.faults, parse_faults(text(key, v, "a clause-list string")?))
+        },
+        write: |job| {
+            let clauses: Vec<String> =
+                job.faults.as_ref()?.clauses.iter().map(ToString::to_string).collect();
+            Some(Json::str(clauses.join(",")))
+        },
+        digest: Digest::Clause(|job| {
+            Some(job.faults.as_ref().map(FaultSpec::canonical_key).unwrap_or_default())
+        }),
+    },
+    Field {
+        key: "reduce",
+        read: |job, key, v| {
+            set(&mut job.reduce, keyword(key, v, "none|symmetry|por|full", ReduceOptions::parse))
+        },
+        write: |job| job.reduce.enabled().then(|| Json::str(job.reduce.mode())),
+        digest: Digest::Clause(|job| job.reduce.enabled().then(|| job.reduce.mode().to_string())),
+    },
+    Field {
+        key: "engine",
+        read: |job, key, v| {
+            set(&mut job.engine, keyword(key, v, "trace|bisim|both", Engine::parse))
+        },
+        write: |job| (job.engine != Engine::Trace).then(|| Json::str(job.engine.mode())),
+        digest: Digest::Clause(|job| {
+            (job.engine != Engine::Trace).then(|| job.engine.mode().to_string())
+        }),
+    },
+    Field {
+        key: "faults_depth",
+        read: |job, key, v| set(&mut job.faults_depth, int(key, v)),
+        write: |job| Some(Json::count(job.faults_depth)),
+        digest: Digest::Labelled("depth", |job| {
+            (job.mode == Mode::Campaign).then(|| job.faults_depth.to_string())
+        }),
+    },
+    Field {
+        key: "oracles",
+        read: |job, key, v| set(&mut job.oracles, strings(key, v)),
+        write: |job| {
+            (!job.oracles.is_empty()).then(|| Json::str_arr(job.oracles.iter().cloned()))
+        },
+        digest: Digest::Clause(|job| {
+            (job.mode == Mode::ConformanceReplay).then(|| job.oracles.join(","))
+        }),
+    },
+    Field {
+        key: "unit",
+        read: |job, key, v| {
+            let [o, c] = UNIT_PARTS;
+            let part = |p: &str| {
+                v.get(p)
+                    .and_then(|n| int::<usize>(p, n).ok())
+                    .ok_or_else(|| format!("{key:?} expects {{{o:?}:N,{c:?}:M}}, bad {p:?}"))
+            };
+            set(&mut job.unit, Ok(Some((part(o)?, part(c)?))))
+        },
+        write: |job| {
+            let (offset, count) = job.unit?;
+            let [o, c] = UNIT_PARTS;
+            Some(Json::Obj(vec![
+                (o.to_string(), Json::count(offset)),
+                (c.to_string(), Json::count(count)),
+            ]))
+        },
+        digest: Digest::Clause(|job| job.unit.map(|(offset, count)| format!("{offset}+{count}"))),
+    },
+    Field {
+        key: "timeout_secs",
+        read: |job, key, v| set(&mut job.timeout_secs, int(key, v).map(Some)),
+        write: |job| job.timeout_secs.map(wire_u64),
+        digest: Digest::Never,
+    },
+    Field {
+        key: "no_cache",
+        read: |job, key, v| set(&mut job.no_cache, flag(key, v)),
+        write: |job| job.no_cache.then_some(Json::Bool(true)),
+        digest: Digest::Never,
+    },
+    Field {
+        key: "tenant",
+        read: |job, key, v| {
+            set(&mut job.tenant, text(key, v, "a string").map(|t| Some(t.to_owned())))
+        },
+        write: |job| job.tenant.clone().map(Json::str),
+        digest: Digest::Never,
+    },
+    Field {
+        key: "deadline_ms",
+        read: |job, key, v| set(&mut job.deadline_ms, int(key, v).map(Some)),
+        write: |job| job.deadline_ms.map(wire_u64),
+        digest: Digest::Never,
+    },
+    Field {
+        key: "progress_ms",
+        read: |job, key, v| set(&mut job.progress_ms, int(key, v).map(Some)),
+        write: |job| job.progress_ms.map(wire_u64),
+        digest: Digest::Never,
+    },
+];
+
+fn set<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
+    *slot = value?;
+    Ok(())
+}
+
+fn int<T: TryFrom<i64>>(key: &str, v: &Json) -> Result<T, String> {
+    v.as_int()
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| format!("{key:?} expects a non-negative integer"))
+}
+
+fn flag(key: &str, v: &Json) -> Result<bool, String> {
+    v.as_bool().ok_or_else(|| format!("{key:?} expects a boolean"))
+}
+
+fn text<'a>(key: &str, v: &'a Json, what: &str) -> Result<&'a str, String> {
+    v.as_str().ok_or_else(|| format!("{key:?} expects {what}"))
+}
+
+fn strings(key: &str, v: &Json) -> Result<Vec<String>, String> {
+    let expected = || format!("{key:?} expects an array of strings");
+    v.as_arr()
+        .ok_or_else(expected)?
+        .iter()
+        .map(|i| i.as_str().map(str::to_owned).ok_or_else(expected))
+        .collect()
+}
+
+/// A string naming one of `choices` (spelled `a|b|c`).
+fn keyword<T>(
+    key: &str,
+    v: &Json,
+    choices: &str,
+    parse: fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    let s = text(key, v, choices)?;
+    parse(s).ok_or_else(|| format!("{key:?} expects {choices}, got {s:?}"))
+}
+
+fn wire_u64(n: u64) -> Json {
+    Json::Int(i64::try_from(n).unwrap_or(i64::MAX))
+}
+
+/// Parses the comma-separated fault-clause spelling shared with the
+/// CLI's `--fault`.
+fn parse_faults(spec: &str) -> Result<Option<FaultSpec>, String> {
+    let clauses = spec
+        .split(',')
+        .filter(|c| !c.is_empty())
+        .map(|c| c.parse::<FaultClause>().map_err(|e| e.reason))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((!clauses.is_empty()).then(|| FaultSpec::new(clauses)))
+}
+
+impl Mode {
+    /// The wire keys of a job's spec sources: the concrete process,
+    /// then the abstract specification (conformance replay has one
+    /// spec).  Each may instead name a server-side file under the key
+    /// with `_path` appended.
+    fn source_keys(self) -> &'static [&'static str] {
+        match self {
+            Mode::ConformanceReplay => &["spec"],
+            Mode::Verify | Mode::Campaign => &["concrete", "abstract"],
+        }
+    }
+}
+
 impl JobRequest {
+    /// A job with every option at its default — what a request that
+    /// omits the option gets.
+    #[must_use]
+    pub fn new(
+        mode: Mode,
+        concrete: impl Into<String>,
+        abstract_spec: impl Into<String>,
+    ) -> JobRequest {
+        JobRequest {
+            mode,
+            concrete: concrete.into(),
+            abstract_spec: abstract_spec.into(),
+            channels: vec!["c".to_string()],
+            sessions: 2,
+            visible: 6,
+            budget: Budget::default(),
+            faults: None,
+            intruder: true,
+            faults_depth: 2,
+            oracles: Vec::new(),
+            reduce: ReduceOptions::none(),
+            engine: Engine::Trace,
+            timeout_secs: None,
+            no_cache: false,
+            tenant: None,
+            deadline_ms: None,
+            progress_ms: None,
+            unit: None,
+        }
+    }
+
+    /// The spec sources with their wire keys.
+    fn sources(&self) -> impl Iterator<Item = (&'static str, &str)> {
+        let texts = [self.concrete.as_str(), self.abstract_spec.as_str()];
+        self.mode.source_keys().iter().copied().zip(texts)
+    }
+
     /// The canonical description this job is content-addressed by:
     /// specs parsed and re-printed (so formatting differences vanish),
-    /// the budget in its canonical spelling, the fault schedule in its
-    /// canonical key.  Execution-only knobs (`timeout_secs`,
-    /// `no_cache`, `tenant`, `deadline_ms`, `progress_ms`) are
-    /// excluded — they change *when* (and whether) an answer arrives,
-    /// never *what* it is.
+    /// then every field's digest clause.  Execution-only fields
+    /// (`timeout_secs`, `no_cache`, `tenant`, `deadline_ms`,
+    /// `progress_ms`) contribute none.
     ///
     /// # Errors
     ///
@@ -207,46 +492,18 @@ impl JobRequest {
     pub fn canonical(&self) -> Result<String, String> {
         use std::fmt::Write as _;
         let mut desc = format!("serve-v1|{}", self.mode.keyword());
-        let concrete = parse_source(&self.concrete)?;
-        let _ = write!(desc, "|{concrete}");
-        if self.mode != Mode::ConformanceReplay {
-            let spec = parse_source(&self.abstract_spec)?;
-            let _ = write!(desc, "|{spec}");
+        for (_, src) in self.sources() {
+            let _ = write!(desc, "|{}", parse_source(src)?);
         }
-        let _ = write!(
-            desc,
-            "|C={}|sessions={}|visible={}|budget={}|intruder={}|faults={}",
-            self.channels.join(","),
-            self.sessions,
-            self.visible,
-            self.budget.canonical_spec(),
-            self.intruder,
-            self.faults
-                .as_ref()
-                .map(FaultSpec::canonical_key)
-                .unwrap_or_default(),
-        );
-        // Appended only when non-default, so pre-reduction digests (and
-        // the caches keyed by them) stay valid.
-        if self.reduce.enabled() {
-            let _ = write!(desc, "|reduce={}", self.reduce.mode());
-        }
-        // Same back-compat rule: the default engine leaves the digest
-        // byte-identical to pre-engine requests.
-        if self.engine != Engine::Trace {
-            let _ = write!(desc, "|engine={}", self.engine.mode());
-        }
-        match self.mode {
-            Mode::Campaign => {
-                let _ = write!(desc, "|depth={}", self.faults_depth);
+        for field in FIELDS {
+            let (label, value) = match field.digest {
+                Digest::Never => continue,
+                Digest::Clause(value) => (field.key, value),
+                Digest::Labelled(label, value) => (label, value),
+            };
+            if let Some(value) = value(self) {
+                let _ = write!(desc, "|{label}={value}");
             }
-            Mode::ConformanceReplay => {
-                let _ = write!(desc, "|oracles={}", self.oracles.join(","));
-            }
-            Mode::Verify => {}
-        }
-        if let Some((offset, count)) = self.unit {
-            let _ = write!(desc, "|unit={offset}+{count}");
         }
         Ok(desc)
     }
@@ -269,139 +526,62 @@ impl JobRequest {
         job
     }
 
+    /// The wall-clock cut-off of a run of this job, wherever it runs:
+    /// `timeout_secs` (or `default_timeout_secs` when the request gives
+    /// none) counts from now, when execution starts; `deadline_ms`
+    /// counts from `accepted`, when the request arrived, so time spent
+    /// queued or retrying counts against it.  The tighter one wins; a
+    /// limit too far out to represent is no limit.
+    #[must_use]
+    pub(crate) fn deadline(
+        &self,
+        accepted: Instant,
+        default_timeout_secs: Option<u64>,
+    ) -> Option<Instant> {
+        let timeout = self
+            .timeout_secs
+            .or(default_timeout_secs)
+            .and_then(|s| Instant::now().checked_add(Duration::from_secs(s)));
+        let wire = self
+            .deadline_ms
+            .and_then(|ms| accepted.checked_add(Duration::from_millis(ms)));
+        match (timeout, wire) {
+            (Some(t), Some(w)) => Some(t.min(w)),
+            (t, w) => t.or(w),
+        }
+    }
+
     /// Re-renders the job as a request object a coordinator can put
     /// back on the wire when dispatching to a worker.  Round-trips
-    /// through [`parse_request`] to an equivalent job (same digest).
+    /// through [`parse_request`] to an equivalent job (same digest,
+    /// same execution-only fields).
     #[must_use]
     pub fn wire_json(&self) -> Json {
         let mut fields = vec![("op".to_string(), Json::str(self.mode.keyword()))];
-        if self.mode == Mode::ConformanceReplay {
-            fields.push(("spec".into(), Json::str(self.concrete.clone())));
-        } else {
-            fields.push(("concrete".into(), Json::str(self.concrete.clone())));
-            fields.push(("abstract".into(), Json::str(self.abstract_spec.clone())));
-        }
-        fields.push((
-            "channels".into(),
-            Json::str_arr(self.channels.iter().cloned()),
-        ));
-        fields.push(("sessions".into(), Json::Int(i64::from(self.sessions))));
-        fields.push(("visible".into(), Json::count(self.visible)));
-        fields.push(("budget".into(), Json::str(self.budget.canonical_spec())));
-        if let Some(faults) = &self.faults {
-            let clauses = faults
-                .clauses
+        fields.extend(
+            self.sources()
+                .map(|(key, src)| (key.to_string(), Json::str(src))),
+        );
+        fields.extend(
+            FIELDS
                 .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            fields.push(("faults".into(), Json::str(clauses)));
-        }
-        fields.push(("intruder".into(), Json::Bool(self.intruder)));
-        if self.reduce.enabled() {
-            fields.push(("reduce".into(), Json::str(self.reduce.mode())));
-        }
-        if self.engine != Engine::Trace {
-            fields.push(("engine".into(), Json::str(self.engine.mode())));
-        }
-        fields.push(("faults_depth".into(), Json::count(self.faults_depth)));
-        if !self.oracles.is_empty() {
-            fields.push(("oracles".into(), Json::str_arr(self.oracles.iter().cloned())));
-        }
-        if let Some(secs) = self.timeout_secs {
-            fields.push((
-                "timeout_secs".into(),
-                Json::Int(i64::try_from(secs).unwrap_or(i64::MAX)),
-            ));
-        }
-        if self.no_cache {
-            fields.push(("no_cache".into(), Json::Bool(true)));
-        }
-        if let Some(tenant) = &self.tenant {
-            fields.push(("tenant".into(), Json::str(tenant.clone())));
-        }
-        if let Some(ms) = self.deadline_ms {
-            fields.push((
-                "deadline_ms".into(),
-                Json::Int(i64::try_from(ms).unwrap_or(i64::MAX)),
-            ));
-        }
-        if let Some(ms) = self.progress_ms {
-            fields.push((
-                "progress_ms".into(),
-                Json::Int(i64::try_from(ms).unwrap_or(i64::MAX)),
-            ));
-        }
-        if let Some((offset, count)) = self.unit {
-            fields.push((
-                "unit".into(),
-                Json::Obj(vec![
-                    ("offset".to_string(), Json::count(offset)),
-                    ("count".to_string(), Json::count(count)),
-                ]),
-            ));
-        }
+                .filter_map(|field| Some((field.key.to_string(), (field.write)(self)?))),
+        );
         Json::Obj(fields)
-    }
-}
-
-fn get_usize(v: &Json, key: &str, default: usize) -> Result<usize, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(j) => j
-            .as_int()
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| format!("{key:?} expects a non-negative integer")),
-    }
-}
-
-fn get_bool(v: &Json, key: &str, default: bool) -> Result<bool, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(j) => j
-            .as_bool()
-            .ok_or_else(|| format!("{key:?} expects a boolean")),
     }
 }
 
 /// Resolves a spec given inline (`key`) or as a server-side file
 /// (`key_path`).
-fn get_source(v: &Json, key: &str, path_key: &str) -> Result<String, String> {
+fn get_source(v: &Json, key: &str) -> Result<String, String> {
     if let Some(text) = v.get(key).and_then(Json::as_str) {
         return Ok(text.to_string());
     }
-    if let Some(path) = v.get(path_key).and_then(Json::as_str) {
+    let path_key = format!("{key}_path");
+    if let Some(path) = v.get(&path_key).and_then(Json::as_str) {
         return std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
     }
     Err(format!("request needs {key:?} or {path_key:?}"))
-}
-
-fn get_str_arr(v: &Json, key: &str) -> Result<Vec<String>, String> {
-    let Some(j) = v.get(key) else {
-        return Ok(Vec::new());
-    };
-    let items = j
-        .as_arr()
-        .ok_or_else(|| format!("{key:?} expects an array of strings"))?;
-    items
-        .iter()
-        .map(|i| {
-            i.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| format!("{key:?} expects an array of strings"))
-        })
-        .collect()
-}
-
-/// Parses the comma-separated fault-clause spelling shared with the
-/// CLI's `--fault`.
-fn parse_faults(spec: &str) -> Result<Option<FaultSpec>, String> {
-    let clauses = spec
-        .split(',')
-        .filter(|c| !c.is_empty())
-        .map(|c| c.parse::<FaultClause>().map_err(|e| e.reason))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((!clauses.is_empty()).then(|| FaultSpec::new(clauses)))
 }
 
 /// Parses one request line.
@@ -456,109 +636,23 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             ))
         }
     };
-    let (concrete, abstract_spec) = if mode == Mode::ConformanceReplay {
-        (get_source(&v, "spec", "spec_path")?, String::new())
-    } else {
-        (
-            get_source(&v, "concrete", "concrete_path")?,
-            get_source(&v, "abstract", "abstract_path")?,
-        )
-    };
-    let channels = {
-        let listed = get_str_arr(&v, "channels")?;
-        if listed.is_empty() {
-            vec!["c".to_string()]
-        } else {
-            listed
-        }
-    };
-    let budget = match v.get("budget") {
-        None => Budget::default(),
-        Some(j) => Budget::parse_spec(
-            j.as_str()
-                .ok_or("\"budget\" expects a dimension=count string")?,
-        )?,
-    };
-    let faults = match v.get("faults") {
-        None => None,
-        Some(j) => parse_faults(
-            j.as_str()
-                .ok_or("\"faults\" expects a clause-list string")?,
-        )?,
-    };
-    let get_ms = |key: &'static str| -> Result<Option<u64>, String> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(j) => j
-                .as_int()
-                .and_then(|n| u64::try_from(n).ok())
-                .map(Some)
-                .ok_or_else(|| format!("{key:?} expects a non-negative integer")),
-        }
-    };
-    let timeout_secs = get_ms("timeout_secs")?;
-    let deadline_ms = get_ms("deadline_ms")?;
-    let progress_ms = get_ms("progress_ms")?;
-    let tenant = match v.get("tenant") {
-        None => None,
-        Some(j) => Some(
-            j.as_str()
-                .map(str::to_owned)
-                .ok_or("\"tenant\" expects a string")?,
-        ),
-    };
-    let reduce = match v.get("reduce") {
-        None => ReduceOptions::none(),
-        Some(j) => {
-            let s = j
-                .as_str()
-                .ok_or("\"reduce\" expects none|symmetry|por|full")?;
-            ReduceOptions::parse(s)
-                .ok_or_else(|| format!("\"reduce\" expects none|symmetry|por|full, got {s:?}"))?
-        }
-    };
-    let engine = match v.get("engine") {
-        None => Engine::Trace,
-        Some(j) => {
-            let s = j.as_str().ok_or("\"engine\" expects trace|bisim|both")?;
-            Engine::parse(s)
-                .ok_or_else(|| format!("\"engine\" expects trace|bisim|both, got {s:?}"))?
-        }
-    };
-    let unit = match v.get("unit") {
-        None => None,
-        Some(u) => {
-            let field = |key: &str| {
-                u.get(key)
-                    .and_then(Json::as_int)
-                    .and_then(|n| usize::try_from(n).ok())
-                    .ok_or_else(|| format!("\"unit\" expects {{\"offset\":N,\"count\":M}}, bad {key:?}"))
-            };
-            Some((field("offset")?, field("count")?))
-        }
-    };
-    Ok(Request::Job(Box::new(JobRequest {
+    let mut sources = mode
+        .source_keys()
+        .iter()
+        .map(|key| get_source(&v, key))
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter();
+    let mut job = JobRequest::new(
         mode,
-        concrete,
-        abstract_spec,
-        channels,
-        sessions: u32::try_from(get_usize(&v, "sessions", 2)?)
-            .map_err(|_| "\"sessions\" is out of range".to_string())?,
-        visible: get_usize(&v, "visible", 6)?,
-        budget,
-        faults,
-        intruder: get_bool(&v, "intruder", true)?,
-        faults_depth: get_usize(&v, "faults_depth", 2)?,
-        oracles: get_str_arr(&v, "oracles")?,
-        reduce,
-        engine,
-        timeout_secs,
-        no_cache: get_bool(&v, "no_cache", false)?,
-        tenant,
-        deadline_ms,
-        progress_ms,
-        unit,
-    })))
+        sources.next().unwrap_or_default(),
+        sources.next().unwrap_or_default(),
+    );
+    for field in FIELDS {
+        if let Some(value) = v.get(field.key) {
+            (field.read)(&mut job, field.key, value)?;
+        }
+    }
+    Ok(Request::Job(Box::new(job)))
 }
 
 /// The success envelope.  `digest`/`cached` are present for job
@@ -998,6 +1092,23 @@ mod tests {
         let back = Json::parse(&s).unwrap();
         assert_eq!(back.get("status").and_then(Json::as_str), Some("rejected"));
         assert_eq!(back.get("retry_after_ms").and_then(Json::as_int), Some(250));
+    }
+
+    #[test]
+    fn the_documented_field_tables_follow_the_declaration() {
+        let keys: Vec<&str> = FIELDS.iter().map(|f| f.key).collect();
+        let tutorial = include_str!("../../../docs/TUTORIAL.md");
+        let section = tutorial
+            .split("\n## ")
+            .find(|s| s.starts_with("11. "))
+            .expect("the service section");
+        for (doc, row) in [(include_str!("protocol.rs"), "//! | `"), (section, "| `")] {
+            let listed: Vec<&str> = doc
+                .lines()
+                .filter_map(|l| l.strip_prefix(row)?.split('`').next())
+                .collect();
+            assert_eq!(listed, keys);
+        }
     }
 
     #[test]

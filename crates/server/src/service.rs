@@ -119,6 +119,39 @@ pub trait Engine: Send + Sync {
     fn run(&self, job: &JobRequest, ctl: &RunControl) -> EngineOutcome;
 }
 
+/// Runs `job` on `engine` inside this process, for when no server or
+/// worker can take it (a coordinator below quorum, a client whose
+/// server stays unreachable), and renders the reply envelope, marked
+/// `"via":"local"`.  `accepted` is when the request arrived, the
+/// start of its `deadline_ms`.  The flag is [`EngineOutcome::cacheable`]:
+/// a reply the wall clock cut short must not answer another request.
+pub fn run_locally(
+    engine: &dyn Engine,
+    job: &JobRequest,
+    digest: &str,
+    accepted: Instant,
+    cancel: Arc<AtomicBool>,
+) -> (String, bool) {
+    let op = job.mode.keyword();
+    let ctl = RunControl {
+        deadline: job.deadline(accepted, None),
+        cancel,
+        progress: None,
+    };
+    let outcome = engine.run(job, &ctl);
+    let reply = match outcome.body {
+        Ok(body) => {
+            let mut envelope = ok_response(op, Some(digest), false, body);
+            if let Json::Obj(fields) = &mut envelope {
+                fields.push(("via".to_string(), Json::str("local")));
+            }
+            envelope
+        }
+        Err(e) => error_response(op, &e),
+    };
+    (reply.render_compact(), outcome.cacheable)
+}
+
 /// The standard engine: builds a [`Verifier`] from the job options and
 /// runs checks and campaigns.
 #[derive(Debug, Clone, Default)]
@@ -1516,20 +1549,10 @@ fn record_reduction(shared: &Shared, body: &Json) {
 
 fn execute(shared: &Arc<Shared>, ticket: &Ticket) -> String {
     let op = ticket.job.mode.keyword();
-    // `timeout_secs` runs from execution start (as it always has);
-    // `deadline_ms` is end-to-end from admission, so queue time counts
-    // against it.  The engine sees the tighter of the two.
-    let mut deadline = ticket
-        .job
-        .timeout_secs
-        .or(shared.opts.default_timeout_secs)
-        .map(|s| Instant::now() + Duration::from_secs(s));
-    if let Some(ms) = ticket.job.deadline_ms {
-        let wire = ticket.accepted + Duration::from_millis(ms);
-        deadline = Some(deadline.map_or(wire, |d| d.min(wire)));
-    }
     let ctl = RunControl {
-        deadline,
+        deadline: ticket
+            .job
+            .deadline(ticket.accepted, shared.opts.default_timeout_secs),
         cancel: Arc::clone(&shared.cancel),
         progress: ticket.progress.clone(),
     };

@@ -3,14 +3,15 @@
 //! gossip, campaign work-unit stitching, and chaos byte-identity.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
 use std::time::Duration;
 
 use spi_server::client::Client;
 use spi_server::coordinator::{coordinate, CoordinatorHandle, CoordinatorOptions};
 use spi_server::gossip::pull_from;
-use spi_server::protocol::JobRequest;
+use spi_server::protocol::{parse_request, JobRequest, Request};
 use spi_server::service::{serve, Engine, EngineOutcome, RunControl, ServerHandle, VerifierEngine};
+use spi_server::shard::Ring;
 use spi_server::ServerOptions;
 use spi_verify::jsonlite::Json;
 
@@ -94,6 +95,18 @@ fn campaign_line() -> String {
     )
 }
 
+/// `line` with `extra` (`"key":value` pairs) appended to its object.
+fn with_fields(line: &str, extra: &str) -> String {
+    format!("{},{extra}}}", line.strip_suffix('}').expect("a JSON object"))
+}
+
+fn digest_of(line: &str) -> String {
+    match parse_request(line).unwrap() {
+        Request::Job(job) => job.digest().unwrap(),
+        other => panic!("expected a job, got {other:?}"),
+    }
+}
+
 /// The reference bytes: the same request served by one standalone
 /// worker process (the body encoders are shared, so this is also what
 /// a direct `Verifier` run renders to).
@@ -145,15 +158,25 @@ fn killing_a_worker_reroutes_to_survivors() {
     assert_eq!(field(&warm, "status").as_str(), Some("ok"));
 
     // Kill one worker outright.
+    let ring = Ring::new(coordinator.workers());
     let victim = workers.remove(0);
+    let victim_addr = victim.addr().to_string();
     victim.join();
 
     // Every question still gets answered: requests owned by the dead
     // worker fail the dial, it is marked dead, and the ring's next
-    // candidate takes over.
-    for sessions in 1..=4 {
-        let resp = parsed(&client.roundtrip(&verify_line(P2, sessions)).unwrap());
+    // candidate takes over.  Which questions the dead worker owns
+    // depends on the workers' ports, so ask until it has owned one.
+    let mut victim_owned = false;
+    for sessions in 1.. {
+        let line = verify_line(P2, sessions);
+        victim_owned |= ring.candidates(&digest_of(&line)).next() == Some(victim_addr.as_str());
+        let resp = parsed(&client.roundtrip(&line).unwrap());
         assert_eq!(field(&resp, "status").as_str(), Some("ok"), "{resp:?}");
+        if victim_owned && sessions >= 4 {
+            break;
+        }
+        assert!(sessions < 256, "no question landed on the dead worker");
     }
     let stats = parsed(&client.roundtrip(r#"{"op":"stats"}"#).unwrap());
     let body = field(&stats, "body");
@@ -190,6 +213,98 @@ fn local_degradation_matches_fleet_bytes() {
     let resp = parsed(&client.roundtrip(&verify_line(P2, 1)).unwrap());
     assert_eq!(field(&resp, "body").render_compact(), reference);
     coordinator.join();
+}
+
+#[test]
+fn local_degradation_honours_the_wire_deadline() {
+    // A deadline already spent on arrival: one node answers with a
+    // wall-clock-inconclusive verdict, and so must the fallback.
+    let line = with_fields(&verify_line(P2, 1), r#""deadline_ms":0"#);
+    let reference = single_node_body(&line);
+    assert!(reference.contains("inconclusive"), "{reference}");
+    let coordinator = coordinate(engine(), test_opts()).expect("coordinator starts");
+    let mut client = Client::connect(&coordinator.addr().to_string()).unwrap();
+    let resp = parsed(&client.roundtrip(&line).unwrap());
+    assert_eq!(field(&resp, "via").as_str(), Some("local"));
+    assert_eq!(field(&resp, "body").render_compact(), reference);
+    coordinator.join();
+}
+
+/// A leader whose own time limit is spent before its run starts gets a
+/// truncated answer; a duplicate parked behind it must not inherit it.
+/// The gated engine runs on a joined worker (`on_worker`) or as the
+/// coordinator's local fallback.
+fn duplicate_behind_a_truncated_leader(on_worker: bool) {
+    let full_line = verify_line(P2, 1);
+    let reference = single_node_body(&full_line);
+    let (started_tx, started) = mpsc::channel();
+    let gated = Arc::new(GatedEngine {
+        started: Mutex::new(started_tx),
+        open: (Mutex::new(false), Condvar::new()),
+    });
+    let gated_engine = Arc::clone(&gated) as Arc<dyn Engine>;
+    let (coordinator, worker) = if on_worker {
+        let coordinator = coordinate(engine(), test_opts()).expect("coordinator starts");
+        let worker = serve(
+            gated_engine,
+            ServerOptions {
+                addr: "127.0.0.1:0".into(),
+                ..ServerOptions::default()
+            },
+        )
+        .expect("worker starts");
+        let join = format!(r#"{{"op":"join","addr":"{}"}}"#, worker.addr());
+        Client::connect(&coordinator.addr().to_string())
+            .unwrap()
+            .roundtrip(&join)
+            .unwrap();
+        (coordinator, Some(worker))
+    } else {
+        let coordinator = coordinate(gated_engine, test_opts()).expect("coordinator starts");
+        (coordinator, None)
+    };
+    let addr = coordinator.addr().to_string();
+    let ask = |line: String| {
+        let addr = addr.clone();
+        std::thread::spawn(move || parsed(&Client::connect(&addr).unwrap().roundtrip(&line).unwrap()))
+    };
+
+    let leader = ask(with_fields(&full_line, r#""timeout_secs":0"#));
+    started.recv().unwrap();
+    // Same digest, no limit: it parks behind the leader.
+    let duplicate = ask(full_line);
+    let mut client = Client::connect(&addr).unwrap();
+    loop {
+        let stats = parsed(&client.roundtrip(r#"{"op":"stats"}"#).unwrap());
+        if field(field(&stats, "body"), "flight_collapsed").as_int() == Some(1) {
+            break;
+        }
+        std::thread::yield_now();
+    }
+    gated.open();
+
+    let leader = leader.join().unwrap();
+    assert!(
+        field(&leader, "body").render_compact().contains("inconclusive"),
+        "{leader:?}"
+    );
+    let duplicate = duplicate.join().unwrap();
+    assert_eq!(field(&duplicate, "status").as_str(), Some("ok"), "{duplicate:?}");
+    assert_eq!(field(&duplicate, "body").render_compact(), reference);
+    coordinator.join();
+    if let Some(w) = worker {
+        w.join();
+    }
+}
+
+#[test]
+fn a_duplicate_never_inherits_a_local_reply_cut_short() {
+    duplicate_behind_a_truncated_leader(false);
+}
+
+#[test]
+fn a_duplicate_never_inherits_a_worker_reply_cut_short() {
+    duplicate_behind_a_truncated_leader(true);
 }
 
 #[test]
@@ -514,4 +629,31 @@ fn concurrent_cold_requests_collapse_into_one_dispatch() {
     assert_eq!(field(body, "flight_collapsed").as_int(), Some(1));
     assert!(field(body, "local_runs").as_int().unwrap() >= 1);
     coordinator.join();
+}
+
+/// The real engine behind a gate: each run reports that it started,
+/// then waits for [`GatedEngine::open`], so a test can hold a flight
+/// leader in progress.
+struct GatedEngine {
+    started: Mutex<mpsc::Sender<()>>,
+    open: (Mutex<bool>, Condvar),
+}
+
+impl GatedEngine {
+    fn open(&self) {
+        *self.open.0.lock().unwrap() = true;
+        self.open.1.notify_all();
+    }
+}
+
+impl Engine for GatedEngine {
+    fn run(&self, job: &JobRequest, ctl: &RunControl) -> EngineOutcome {
+        let _ = self.started.lock().unwrap().send(());
+        let mut open = self.open.0.lock().unwrap();
+        while !*open {
+            open = self.open.1.wait(open).unwrap();
+        }
+        drop(open);
+        engine().run(job, ctl)
+    }
 }

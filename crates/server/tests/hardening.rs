@@ -132,6 +132,21 @@ fn truncated_json_and_unknown_ops_error_cleanly() {
 }
 
 #[test]
+fn limits_too_far_out_to_represent_are_no_limit() {
+    let handle = start();
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+    client.read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let p = "(^m)c<m>|c(x).observe<x>";
+    let line = format!(
+        r#"{{"op":"verify","concrete":"{p}","abstract":"{p}","sessions":1,"timeout_secs":{max},"deadline_ms":{max}}}"#,
+        max = i64::MAX
+    );
+    let resp = parsed(&client.roundtrip(&line).expect("the job is answered"));
+    assert_eq!(status(&resp), "ok", "{resp:?}");
+    handle.join();
+}
+
+#[test]
 fn stats_expose_the_new_metrics_surface() {
     let handle = start();
     let mut client = Client::connect(&handle.addr().to_string()).unwrap();

@@ -403,6 +403,14 @@ fn the_real_engine_verifies_and_caches_real_verdicts() {
     let t2 = parsed(&client.roundtrip(&timed).unwrap());
     assert_eq!(field(&t2, "cached").as_bool(), Some(false));
     assert!(handle.executions() > executions_before);
+    // A spent limit stays with its own request: the same question asked
+    // without one gets the full verdict.
+    let full = parsed(&client.roundtrip(&verify_line(P2, 2)).unwrap());
+    assert_eq!(
+        field(field(&full, "body"), "verdict").as_str(),
+        Some("securely-implements"),
+        "{full:?}"
+    );
 
     handle.join();
 }

@@ -619,6 +619,70 @@ impl ScheduleResult {
         }
         Json::Obj(fields)
     }
+
+    /// Decodes a record written by [`ScheduleResult::to_json`] — a
+    /// campaign checkpoint entry or one of a campaign body's `results`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a missing or malformed schedule key, an unknown
+    /// outcome, or an attack entry without its minimal schedule.
+    pub fn from_json(item: &Json) -> Result<ScheduleResult, VerifyError> {
+        let key = item
+            .get("schedule")
+            .and_then(Json::as_str)
+            .ok_or_else(|| chk("a schedule record lacks its schedule key"))?;
+        let schedule = parse_schedule_key(key)?;
+        let outcome = match item.get("outcome").and_then(Json::as_str) {
+            Some("survives") => ScheduleOutcome::Survives {
+                traces_checked: item
+                    .get("traces_checked")
+                    .and_then(Json::as_int)
+                    .and_then(|n| usize::try_from(n).ok())
+                    .unwrap_or(0),
+            },
+            Some("inconclusive") => ScheduleOutcome::Inconclusive {
+                reason: item
+                    .get("reason")
+                    .and_then(Json::as_str)
+                    .unwrap_or("unknown")
+                    .to_string(),
+            },
+            Some("attack") => {
+                let minimal_key = item
+                    .get("minimal")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| chk(format!("attack entry {key:?} lacks its minimal key")))?;
+                let trace = item
+                    .get("trace")
+                    .and_then(Json::as_arr)
+                    .unwrap_or_default()
+                    .iter()
+                    .map(|t| {
+                        t.as_str()
+                            .map(str::to_owned)
+                            .ok_or_else(|| chk(format!("attack entry {key:?} has a bad trace")))
+                    })
+                    .collect::<Result<Vec<String>, _>>()?;
+                ScheduleOutcome::Attack(Box::new(MinimalCounterexample {
+                    original: schedule.clone(),
+                    schedule: parse_schedule_key(minimal_key)?,
+                    trace,
+                    shrink_steps: item
+                        .get("shrink_steps")
+                        .and_then(Json::as_int)
+                        .and_then(|n| usize::try_from(n).ok())
+                        .unwrap_or(0),
+                }))
+            }
+            other => return Err(chk(format!("unknown outcome {other:?} in {key:?}"))),
+        };
+        Ok(ScheduleResult {
+            key: key.to_string(),
+            schedule,
+            outcome,
+        })
+    }
 }
 
 fn write_checkpoint(
@@ -667,63 +731,8 @@ fn load_checkpoint(
         .and_then(Json::as_arr)
         .unwrap_or_default()
     {
-        let key = item
-            .get("schedule")
-            .and_then(Json::as_str)
-            .ok_or_else(|| chk("a processed entry lacks its schedule key"))?;
-        let schedule = parse_schedule_key(key)?;
-        let outcome = match item.get("outcome").and_then(Json::as_str) {
-            Some("survives") => ScheduleOutcome::Survives {
-                traces_checked: item
-                    .get("traces_checked")
-                    .and_then(Json::as_int)
-                    .and_then(|n| usize::try_from(n).ok())
-                    .unwrap_or(0),
-            },
-            Some("inconclusive") => ScheduleOutcome::Inconclusive {
-                reason: item
-                    .get("reason")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown")
-                    .to_string(),
-            },
-            Some("attack") => {
-                let minimal_key = item
-                    .get("minimal")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| chk(format!("attack entry {key:?} lacks its minimal key")))?;
-                let trace = item
-                    .get("trace")
-                    .and_then(Json::as_arr)
-                    .unwrap_or_default()
-                    .iter()
-                    .map(|t| {
-                        t.as_str()
-                            .map(str::to_owned)
-                            .ok_or_else(|| chk(format!("attack entry {key:?} has a bad trace")))
-                    })
-                    .collect::<Result<Vec<String>, _>>()?;
-                ScheduleOutcome::Attack(Box::new(MinimalCounterexample {
-                    original: schedule.clone(),
-                    schedule: parse_schedule_key(minimal_key)?,
-                    trace,
-                    shrink_steps: item
-                        .get("shrink_steps")
-                        .and_then(Json::as_int)
-                        .and_then(|n| usize::try_from(n).ok())
-                        .unwrap_or(0),
-                }))
-            }
-            other => return Err(chk(format!("unknown outcome {other:?} in {key:?}"))),
-        };
-        out.insert(
-            key.to_string(),
-            ScheduleResult {
-                key: key.to_string(),
-                schedule,
-                outcome,
-            },
-        );
+        let result = ScheduleResult::from_json(item)?;
+        out.insert(result.key.clone(), result);
     }
     Ok(out)
 }

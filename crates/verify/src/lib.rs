@@ -52,6 +52,7 @@ mod iso;
 pub mod jsonlite;
 mod knowledge;
 mod obs;
+pub mod rng;
 mod secrecy;
 mod simulation;
 mod test;
@@ -75,7 +76,7 @@ pub use dot::to_dot;
 pub use error::VerifyError;
 pub use explore::{
     ExploreOptions, ExploreStats, Explorer, IntruderSpec, Label, Lts, LtsState, ReduceOptions,
-    StepDesc, TauClosures,
+    StepDesc,
 };
 pub use iso::{Iso, IsoTable};
 pub use knowledge::{DeriveCache, Knowledge};

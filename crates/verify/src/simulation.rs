@@ -96,11 +96,11 @@ pub fn simulates(specification: &Lts, implementation: &Lts) -> SimulationResult 
 }
 
 fn play(specification: &Lts, implementation: &Lts) -> SimulationResult {
-    // All spec τ-closures up front: one SCC pass instead of a BFS
-    // restart per matched observation.
-    let spec_closures = specification.tau_closures();
+    // Spec τ-closures, computed once for each spec state a matched
+    // observation reaches.
+    let mut closures: Vec<Option<BTreeSet<usize>>> = vec![None; specification.states.len()];
     // Game positions: (implementation state, τ-closed set of spec states).
-    let start = (0usize, spec_closures.of(0).clone());
+    let start = (0usize, specification.tau_closure(0));
     let mut seen: HashSet<(usize, Vec<usize>)> = HashSet::new();
     let mut queue: VecDeque<(usize, BTreeSet<usize>)> = VecDeque::new();
     seen.insert((start.0, start.1.iter().copied().collect()));
@@ -145,7 +145,9 @@ fn play(specification: &Lts, implementation: &Lts) -> SimulationResult {
                         for (sl, st) in &specification.states[s].edges {
                             if let Label::Obs(sev, _) = sl {
                                 if event_key(sev) == want {
-                                    matched.extend(spec_closures.of(*st).iter().copied());
+                                    let close = closures[*st]
+                                        .get_or_insert_with(|| specification.tau_closure(*st));
+                                    matched.extend(close.iter().copied());
                                 }
                             }
                         }

@@ -899,6 +899,30 @@ mod tests {
     }
 
     #[test]
+    fn a_spent_deadline_leaves_the_shared_cancel_flag_alone() {
+        // The flag may be a server's drain flag, shared by every run:
+        // one run's spent deadline must not cancel the next.
+        let flag = Arc::new(AtomicBool::new(false));
+        let cut = Verifier::new(["c"])
+            .sessions(2)
+            .cancel(Arc::clone(&flag))
+            .deadline(std::time::Instant::now());
+        assert!(matches!(
+            cut.check(&p(PM2), &p(PM_ABS)).unwrap().verdict,
+            Verdict::Inconclusive {
+                exhausted: ResourceKind::WallClock,
+                ..
+            }
+        ));
+        assert!(!flag.load(std::sync::atomic::Ordering::Relaxed));
+        let next = Verifier::new(["c"]).sessions(2).cancel(flag);
+        assert!(matches!(
+            next.check(&p(PM2), &p(PM_ABS)).unwrap().verdict,
+            Verdict::Attack(_)
+        ));
+    }
+
+    #[test]
     fn pm2_campaign_rediscovers_the_replay_minimally() {
         use spi_semantics::FaultKind;
         // No intruder: any attack is attributable to the network alone,
