@@ -380,14 +380,9 @@ impl Oracle for Reduce {
         // The session quotient needs at least two replicated copies to
         // have anything to permute; deepen a shallower caller bound.
         let unfold = env.unfold_bound.max(2);
-        // The unreduced arm tracks isomorphisms too, so both sides
-        // extract the exact raw trace set — identity merges would
-        // otherwise mix nonce lineages and the comparison would flag
-        // bookkeeping, not semantics.
         let base = ExploreOptions {
             unfold_bound: unfold,
             faults: case.faults.clone(),
-            track_isos: true,
             ..explore_opts(env)
         };
         let plain = match Explorer::new(base.clone()).explore(&case.spec) {
@@ -838,12 +833,8 @@ impl Oracle for Engines {
         let bisim_opts = BisimOptions {
             skip_analysis: env.injection == Some(Injection::BisimSkipAnalysis),
         };
-        // Iso tracking on both arms: the bisimulation engine canonizes
-        // through the explorer's isomorphisms, so identity merges would
-        // compare bookkeeping, not semantics.
         let base = ExploreOptions {
             faults: case.faults.clone(),
-            track_isos: true,
             ..explore_opts(env)
         };
         let spec_lts = match Explorer::new(base.clone()).explore(&case.spec) {

@@ -100,6 +100,29 @@ fn explore_writes_dot_files() {
 }
 
 #[test]
+fn every_reduction_checks_the_same_exact_traces() {
+    // Every exploration records its merge renamings, so the unreduced
+    // trace set is the exact one too: 16 traces, not 28 with two runs'
+    // nonces mixed.
+    let pm = write_temp("pm_self.spi", PM_ABS);
+    for reduce in ["none", "symmetry", "por", "full"] {
+        let out = spi()
+            .arg("verify")
+            .arg(&pm)
+            .arg(&pm)
+            .args(["--sessions", "3", "--format", "json", "--reduce", reduce])
+            .output()
+            .expect("runs");
+        assert!(out.status.success(), "--reduce {reduce}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("\"traces_checked\": 16"),
+            "--reduce {reduce}: {stdout}"
+        );
+    }
+}
+
+#[test]
 fn program_files_are_accepted_everywhere() {
     let prog = write_temp(
         "prog.spi",

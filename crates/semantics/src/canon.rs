@@ -100,15 +100,15 @@ impl Canonicalizer {
         }
     }
 
-    /// The assignment journal: `journal()[k]` is the [`NameId`] that was
-    /// numbered `k` during serialization.  Two states with equal canonical
-    /// strings have journals of equal length, and zipping them yields the
-    /// name bijection witnessing the isomorphism — the symmetry quotient
-    /// stores this to rename observations when a merged state's traces are
-    /// extracted through its representative.
+    /// The assignment journal, by value: `into_journal()[k]` is the
+    /// [`NameId`] that was numbered `k` during serialization.  Two states
+    /// with equal canonical strings have journals of equal length, and
+    /// zipping them yields the name bijection witnessing the isomorphism —
+    /// the explorer stores this to rename observations when a merged
+    /// state's traces are extracted through its representative.
     #[must_use]
-    pub fn journal(&self) -> &[NameId] {
-        &self.order
+    pub fn into_journal(self) -> Vec<NameId> {
+        self.order
     }
 
     /// Renders `t` as a canonical *probe*: ids already numbered keep

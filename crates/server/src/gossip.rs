@@ -15,34 +15,13 @@ use std::time::Duration;
 use spi_verify::jsonlite::Json;
 
 use crate::client::Client;
-use crate::snapshot::{snapshot_identity, Entries};
+use crate::snapshot::{parse_snapshot, Entries};
 
-/// Encodes cache entries as a gossip response body — byte-compatible
-/// with the snapshot file format (`version`/`identity`/`entries`).
-#[must_use]
-pub fn gossip_body(entries: &[(String, String, String)]) -> Json {
-    Json::Obj(vec![
-        ("version".into(), Json::Int(1)),
-        ("identity".into(), Json::str(snapshot_identity(entries))),
-        (
-            "entries".into(),
-            Json::Arr(
-                entries
-                    .iter()
-                    .map(|(key, op, body)| {
-                        Json::Obj(vec![
-                            ("key".into(), Json::str(key.clone())),
-                            ("op".into(), Json::str(op.clone())),
-                            ("body".into(), Json::str(body.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
+/// Encodes cache entries as a gossip response body: the snapshot
+/// file's encoding.
+pub use crate::snapshot::snapshot_body as gossip_body;
 
-/// Decodes and *verifies* a gossip body.
+/// Decodes and *verifies* a gossip body (see [`parse_snapshot`]).
 ///
 /// # Errors
 ///
@@ -50,29 +29,7 @@ pub fn gossip_body(entries: &[(String, String, String)]) -> Json {
 /// (torn transfer), or an identity digest that does not match the
 /// contents (forgery) — in every case the caller merges nothing.
 pub fn parse_gossip(body: &Json) -> Result<Entries, String> {
-    match body.get("version").and_then(Json::as_int) {
-        Some(1) => {}
-        other => return Err(format!("unsupported gossip version {other:?}")),
-    }
-    let mut entries = Entries::new();
-    for item in body.get("entries").and_then(Json::as_arr).unwrap_or_default() {
-        let field = |k: &str| {
-            item.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("a gossip entry lacks its {k:?}"))
-        };
-        entries.push((field("key")?, field("op")?, field("body")?));
-    }
-    let stored = body.get("identity").and_then(Json::as_str).unwrap_or("");
-    let computed = snapshot_identity(&entries);
-    if stored != computed {
-        return Err(format!(
-            "gossip identity mismatch (peer says {stored}, contents hash to {computed}); \
-             refusing to merge"
-        ));
-    }
-    Ok(entries)
+    parse_snapshot(body, "gossip")
 }
 
 /// Pulls and verifies a peer's cache entries over the wire.

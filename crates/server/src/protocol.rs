@@ -479,7 +479,8 @@ impl JobRequest {
         self.mode.source_keys().iter().copied().zip(texts)
     }
 
-    /// The canonical description this job is content-addressed by:
+    /// The canonical description this job is content-addressed by: the
+    /// engine-semantics version ([`spi_verify::ENGINE_VERSION`]), the
     /// specs parsed and re-printed (so formatting differences vanish),
     /// then every field's digest clause.  Execution-only fields
     /// (`timeout_secs`, `no_cache`, `tenant`, `deadline_ms`,
@@ -491,7 +492,11 @@ impl JobRequest {
     /// cached).
     pub fn canonical(&self) -> Result<String, String> {
         use std::fmt::Write as _;
-        let mut desc = format!("serve-v1|{}", self.mode.keyword());
+        let mut desc = format!(
+            "serve-v1|semantics={}|{}",
+            spi_verify::ENGINE_VERSION,
+            self.mode.keyword()
+        );
         for (_, src) in self.sources() {
             let _ = write!(desc, "|{}", parse_source(src)?);
         }

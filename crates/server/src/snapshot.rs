@@ -28,33 +28,68 @@ pub fn snapshot_identity(entries: &[(String, String, String)]) -> String {
     digest(&desc)
 }
 
+/// Encodes cache entries as a snapshot body: `version`, `identity` and
+/// `entries`.  A snapshot file is this body rendered, and a gossip
+/// transfer carries it on the wire.
+#[must_use]
+pub fn snapshot_body(entries: &[(String, String, String)]) -> Json {
+    let entry = |(key, op, body): &(String, String, String)| {
+        Json::Obj(vec![
+            ("key".into(), Json::str(key.clone())),
+            ("op".into(), Json::str(op.clone())),
+            ("body".into(), Json::str(body.clone())),
+        ])
+    };
+    Json::Obj(vec![
+        ("version".into(), Json::Int(1)),
+        ("identity".into(), Json::str(snapshot_identity(entries))),
+        ("entries".into(), Json::Arr(entries.iter().map(entry).collect())),
+    ])
+}
+
+/// Decodes and *verifies* a snapshot body; `source` ("snapshot",
+/// "gossip") names it in error messages.
+///
+/// # Errors
+///
+/// Fails on an unsupported version, a structurally incomplete entry
+/// (a torn transfer), or an identity digest that does not match the
+/// contents (forged or corrupted) — in every case nothing is returned
+/// to load or merge.
+pub fn parse_snapshot(body: &Json, source: &str) -> Result<Entries, String> {
+    match body.get("version").and_then(Json::as_int) {
+        Some(1) => {}
+        other => return Err(format!("unsupported {source} version {other:?}")),
+    }
+    let mut entries = Entries::new();
+    for item in body.get("entries").and_then(Json::as_arr).unwrap_or_default() {
+        let field = |k: &str| {
+            item.get(k)
+                .and_then(Json::as_str)
+                .map(str::to_owned)
+                .ok_or_else(|| format!("a {source} entry lacks its {k:?}"))
+        };
+        entries.push((field("key")?, field("op")?, field("body")?));
+    }
+    let stored = body.get("identity").and_then(Json::as_str).unwrap_or("");
+    let computed = snapshot_identity(&entries);
+    if stored != computed {
+        return Err(format!(
+            "{source} identity mismatch (it says {stored}, its contents hash to {computed}); \
+             refusing it"
+        ));
+    }
+    Ok(entries)
+}
+
 /// Writes a snapshot atomically (write-then-rename).
 ///
 /// # Errors
 ///
 /// Returns a description of the I/O failure.
 pub fn write_snapshot(path: &Path, entries: &[(String, String, String)]) -> Result<(), String> {
-    let json = Json::Obj(vec![
-        ("version".into(), Json::Int(1)),
-        ("identity".into(), Json::str(snapshot_identity(entries))),
-        (
-            "entries".into(),
-            Json::Arr(
-                entries
-                    .iter()
-                    .map(|(key, op, body)| {
-                        Json::Obj(vec![
-                            ("key".into(), Json::str(key.clone())),
-                            ("op".into(), Json::str(op.clone())),
-                            ("body".into(), Json::str(body.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
     let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, json.render())
+    std::fs::write(&tmp, snapshot_body(entries).render())
         .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
     std::fs::rename(&tmp, path)
         .map_err(|e| format!("cannot move snapshot into {}: {e}", path.display()))
@@ -64,35 +99,13 @@ pub fn write_snapshot(path: &Path, entries: &[(String, String, String)]) -> Resu
 ///
 /// # Errors
 ///
-/// Fails on I/O trouble, malformed JSON, an unsupported version, or an
-/// identity mismatch (forged or corrupted contents).
+/// Fails on I/O trouble, malformed JSON, or anything
+/// [`parse_snapshot`] refuses.
 pub fn load_snapshot(path: &Path) -> Result<Entries, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let json = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    match json.get("version").and_then(Json::as_int) {
-        Some(1) => {}
-        other => return Err(format!("unsupported snapshot version {other:?}")),
-    }
-    let mut entries = Entries::new();
-    for item in json.get("entries").and_then(Json::as_arr).unwrap_or_default() {
-        let field = |k: &str| {
-            item.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("a snapshot entry lacks its {k:?}"))
-        };
-        entries.push((field("key")?, field("op")?, field("body")?));
-    }
-    let stored = json.get("identity").and_then(Json::as_str).unwrap_or("");
-    let computed = snapshot_identity(&entries);
-    if stored != computed {
-        return Err(format!(
-            "snapshot identity mismatch (file says {stored}, contents hash to {computed}); \
-             refusing to load"
-        ));
-    }
-    Ok(entries)
+    parse_snapshot(&json, "snapshot")
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use spi_server::client::Client;
 use spi_server::protocol::JobRequest;
@@ -280,8 +280,11 @@ fn never_reading_client_trips_the_write_cap_not_the_heap() {
     std::thread::sleep(Duration::from_millis(1500));
 
     // The server dropped the greedy connection: a fresh client is the
-    // only one it still tracks, and it is served normally.
+    // only one it still tracks, and it is served normally — and
+    // promptly, though the reactor re-reads a megabyte cached body for
+    // every pipelined request.
     let mut good = Client::connect(&addr.to_string()).unwrap();
+    let asked = Instant::now();
     let stats = parsed(&good.roundtrip(r#"{"op":"stats"}"#).unwrap());
     let live = stats
         .get("body")
@@ -290,6 +293,11 @@ fn never_reading_client_trips_the_write_cap_not_the_heap() {
     assert_eq!(live, Some(1), "the greedy connection was cut: {stats:?}");
     let pong = parsed(&good.roundtrip(r#"{"op":"ping"}"#).unwrap());
     assert_eq!(status(&pong), "ok");
+    let waited = asked.elapsed();
+    assert!(
+        waited < PROMPT,
+        "the fresh client waited {waited:?} for stats and ping"
+    );
 
     // The greedy client sees only what was in flight in the kernel —
     // far less than the ~24 MB a well-read client would have gotten.
@@ -306,6 +314,43 @@ fn never_reading_client_trips_the_write_cap_not_the_heap() {
         got < requests * 1024 * 1024 / 2,
         "expected a cut stream, read {got} bytes"
     );
+
+    handle.join();
+}
+
+/// How long a well-behaved client may wait for a trivial answer while
+/// another connection misbehaves.
+const PROMPT: Duration = Duration::from_secs(5);
+
+#[test]
+fn a_megabyte_string_does_not_stall_other_clients() {
+    let handle = start();
+    let addr = handle.addr();
+
+    // One line just under the cap, almost all of it one JSON string:
+    // the reactor parses it on its own thread.
+    let pad = "x".repeat(MAX_LINE_BYTES - 64);
+    let line = format!("{{\"op\":\"ping\",\"pad\":\"{pad}\"}}\n");
+    assert!(line.len() <= MAX_LINE_BYTES);
+    let hostile = TcpStream::connect(addr).unwrap();
+    let mut sender = hostile.try_clone().unwrap();
+    let sent = std::thread::spawn(move || sender.write_all(line.as_bytes()));
+    sent.join().unwrap().expect("the long line is sent");
+
+    // Another client's ping is answered promptly meanwhile.
+    let mut other = TcpStream::connect(addr).unwrap();
+    other.set_read_timeout(Some(PROMPT)).unwrap();
+    let asked = Instant::now();
+    let pong = parsed(&raw_roundtrip(&mut other, b"{\"op\":\"ping\"}\n"));
+    assert_eq!(status(&pong), "ok");
+    let waited = asked.elapsed();
+    assert!(waited < PROMPT, "ping waited {waited:?} behind the long line");
+
+    // The long line itself gets an answer too.
+    hostile.set_read_timeout(Some(PROMPT)).unwrap();
+    let mut reply = String::new();
+    BufReader::new(&hostile).read_line(&mut reply).expect("an answer");
+    assert!(!status(&parsed(&reply)).is_empty());
 
     handle.join();
 }

@@ -3,7 +3,11 @@
 //! fleet routing all hang off these bytes, so any change to how a job
 //! field is read or digested shows up here first.
 
-use spi_server::protocol::{parse_request, JobRequest, Request};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+
+use spi_server::protocol::{parse_request, JobRequest, Mode, Request};
+use spi_server::{Engine, RunControl, VerifierEngine};
 
 const P: &str = "(^m)c<m>|c(x).observe<x>";
 const P_SPACED: &str = "(^m) c<m> | c(x).observe<x>";
@@ -138,7 +142,7 @@ fn expand(mode: &str, want: &str) -> String {
         )
         .replace("MAX", &u64::MAX.to_string())
         .replace('S', "(^m)c<m> | c(x).observe<x>");
-    format!("serve-v1|{mode}|{want}")
+    format!("serve-v1|semantics=2|{mode}|{want}")
 }
 
 #[test]
@@ -191,6 +195,87 @@ fn digests_are_pinned() {
     let unit = job(&format!(
         r#"{{"op":"campaign","concrete":"{P}","abstract":"{P}","unit":{{"offset":1,"count":3}}}}"#
     ));
-    assert_eq!(default.digest().unwrap(), "fnv:ec36954405af4114");
-    assert_eq!(unit.digest().unwrap(), "fnv:d077c2da9b75ad71");
+    assert_eq!(default.digest().unwrap(), "fnv:ab480ce0cba3b9c6");
+    assert_eq!(unit.digest().unwrap(), "fnv:71db762954d82e8f");
+}
+
+const PM: &str = include_str!("../../../examples/protocols/pm.spi");
+const PM2: &str = include_str!("../../../examples/protocols/pm2.spi");
+const PM3: &str = include_str!("../../../examples/protocols/pm3.spi");
+
+/// The engine's answer bytes for a few small questions, as the server
+/// caches them, at [`spi_verify::ENGINE_VERSION`] 2.  Cache keys and
+/// checkpoint identities carry the version, not the bytes, so an answer
+/// that changes here must come with a version bump: bump
+/// `ENGINE_VERSION`, then re-pin these bodies and the version below
+/// together (and the digests above, which the bump moves).
+const ANSWERS: &[(&str, &str, u32, &str)] = &[
+    (
+        "pm2",
+        PM2,
+        1,
+        r#"{"verdict":"securely-implements","concrete_states":15,"abstract_states":8,"traces_checked":2}"#,
+    ),
+    (
+        "pm2",
+        PM2,
+        2,
+        concat!(
+            r#"{"verdict":"attack","attack":{"trace":["observe!n0@000","observe!n0@000"],"narration":["#,
+            r#""            A spawns a new session instance","#,
+            r#""            A#2 spawns a new session instance","#,
+            r#""            B spawns a new session instance","#,
+            r#""            B#2 spawns a new session instance","#,
+            r#""Message 1   A#1 → E : {m'3}kAB'2    E intercepts","#,
+            r#""Message 2   A#2 → E : {m'4}kAB'2    E intercepts","#,
+            r#""Message 3   E(A) → B#1 : {m'3}kAB'2    E pretending to be A","#,
+            r#""            B#1 reveals m'3 on observe","#,
+            r#""Message 4   E(A) → B#2 : {m'3}kAB'2    E pretending to be A","#,
+            r#""            B#2 reveals m'3 on observe"]},"#,
+            r#""concrete_states":194,"abstract_states":76,"traces_checked":0}"#,
+        ),
+    ),
+    (
+        "pm3",
+        PM3,
+        1,
+        r#"{"verdict":"securely-implements","concrete_states":57,"abstract_states":8,"traces_checked":2}"#,
+    ),
+    (
+        "pm3",
+        PM3,
+        2,
+        r#"{"verdict":"securely-implements","concrete_states":5605,"abstract_states":76,"traces_checked":5}"#,
+    ),
+    // At version 1 this answer checked 28 traces: the unreduced
+    // exploration mixed two runs' nonces.
+    (
+        "pm",
+        PM,
+        3,
+        r#"{"verdict":"securely-implements","concrete_states":1008,"abstract_states":1008,"traces_checked":16}"#,
+    ),
+];
+
+#[test]
+fn answers_are_pinned_to_the_engine_version() {
+    assert_eq!(
+        spi_verify::ENGINE_VERSION,
+        2,
+        "a version bump re-pins the answers below"
+    );
+    let engine = VerifierEngine {
+        explore_workers: Some(1),
+    };
+    for (name, concrete, sessions, want) in ANSWERS {
+        let mut job = JobRequest::new(Mode::Verify, concrete.trim(), PM.trim());
+        job.sessions = *sessions;
+        let ctl = RunControl {
+            deadline: None,
+            cancel: Arc::new(AtomicBool::new(false)),
+            progress: None,
+        };
+        let body = engine.run(&job, &ctl).body.expect("answers");
+        assert_eq!(&body.render_compact(), want, "{name} vs pm at {sessions}");
+    }
 }

@@ -530,7 +530,7 @@ fn overrun(opts: &ExploreOptions) -> bool {
 /// different one.
 fn campaign_identity(concrete: &Process, spec: &Process, opts: &CampaignOptions) -> String {
     use std::fmt::Write as _;
-    let mut desc = String::from("campaign-v1");
+    let mut desc = format!("campaign-v1|semantics={}", crate::ENGINE_VERSION);
     let _ = write!(desc, "|{concrete}|{spec}");
     for c in &opts.channels {
         let _ = write!(desc, "|{c}");

@@ -9,7 +9,7 @@ use std::time::Instant;
 use spi_addr::Path;
 use spi_semantics::{
     symmetry, Barb, CanonHasher, Canonicalizer, Config, FaultKind, FaultSpec, LeafState,
-    NameTable, NetworkState, PathPerm, RtChanIndex, RtProcess, RtTerm, StepInfo,
+    NameId, NameTable, NetworkState, PathPerm, RtChanIndex, RtProcess, RtTerm, StepInfo,
 };
 use spi_syntax::{Name, Process};
 
@@ -152,9 +152,10 @@ pub struct ExploreOptions {
     /// disagreement (which would mean a hash collision or a
     /// canonicalization bug).  Debugging aid; off by default.
     pub verify_keys: bool,
-    /// Which state-space reductions to apply.  Off by default; enabling
-    /// any reduction forces isomorphism tracking (see
-    /// [`ExploreOptions::track_isos`]) so extracted traces stay exact.
+    /// Which state-space reductions to apply.  Off by default.  Every
+    /// exploration, reduced or not, records the renaming of each state
+    /// merge (see [`Lts::isos`]), so extracted traces are exact either
+    /// way; a reduction only makes more merges non-trivial.
     pub reduce: ReduceOptions,
     /// Differential symmetry verification: on every quotiented key,
     /// additionally brute-force the *whole* permutation orbit and panic
@@ -162,12 +163,6 @@ pub struct ExploreOptions {
     /// invariance — the property that makes permuted duplicates merge).
     /// Debugging aid (like `verify_keys`); off by default.
     pub verify_symmetry: bool,
-    /// Record the witnessing isomorphism of every state merge and ship
-    /// the table on the [`Lts`], so trace extraction can reconstruct the
-    /// exact raw trace set instead of mixing merged lineages.  Implied by
-    /// any [`ReduceOptions`] reduction; useful on its own to make two
-    /// explorations' trace sets exactly comparable.
-    pub track_isos: bool,
     /// Test-only planted bug: replace the symmetry quotient with an
     /// *erasing* pseudo-quotient (copy subtrees dropped, signatures
     /// hashed) that conflates genuinely different states.  Exists so the
@@ -233,7 +228,6 @@ impl Default for ExploreOptions {
             verify_keys: false,
             reduce: ReduceOptions::none(),
             verify_symmetry: false,
-            track_isos: false,
             sym_conflate: false,
             deadline: None,
             cancel: None,
@@ -456,8 +450,11 @@ pub struct Lts {
     pub exhausted: Option<ResourceKind>,
     /// States reached but not fully expanded (empty when complete).
     pub frontier: Vec<usize>,
-    /// The interned state isomorphisms (index 0 is the identity).  Empty
-    /// unless isomorphism tracking ran and some merge needed a
+    /// The interned state isomorphisms (index 0 is the identity).  Every
+    /// exploration records the renaming under which each merged state
+    /// meets its representative, so trace extraction follows each run's
+    /// own names and creator positions instead of mixing the lineages
+    /// that reached a merge point.  Empty unless some merge needed a
     /// non-identity witness or some state has an automorphism.
     pub isos: Vec<Iso>,
     /// For every edge whose target was merged into a representative under
@@ -533,8 +530,8 @@ impl Lts {
         }
         // The iso section appears only when some merge recorded a
         // non-identity witness or some state has an automorphism, so
-        // untracked explorations keep their historical fingerprints
-        // bit-for-bit.
+        // explorations whose merges are all identities keep the
+        // fingerprint of their states and edges alone.
         if !self.edge_isos.is_empty() || !self.automorphisms.is_empty() {
             let _ = write!(h, "I");
             for ((s, e), id) in &self.edge_isos {
@@ -666,17 +663,13 @@ impl StateData {
     }
 
     /// The key plus the canonicalizer journal (canonical slot → raw name
-    /// id), captured in one serialization pass.
-    fn key_and_journal(&self) -> (u128, Vec<u32>) {
+    /// id), captured in one serialization pass; the journal is the
+    /// canonicalizer's own, not a copy.
+    fn key_and_journal(&self) -> (u128, Vec<NameId>) {
         let mut canon = Canonicalizer::new();
         let mut h = CanonHasher::new();
         self.write_key_with(&mut canon, &mut h);
-        let journal = canon
-            .journal()
-            .iter()
-            .map(|id| u32::try_from(id.index()).unwrap_or(u32::MAX))
-            .collect();
-        (h.finish(), journal)
+        (h.finish(), canon.into_journal())
     }
 
     /// This state with a copy permutation physically applied everywhere:
@@ -727,14 +720,6 @@ impl StateData {
         true
     }
 
-    /// The 128-bit canonical key: the serialization stream folded through
-    /// a [`CanonHasher`], no heap allocation for the key itself.
-    fn key(&self) -> u128 {
-        let mut h = CanonHasher::new();
-        self.write_key(&mut h);
-        h.finish()
-    }
-
     /// The full canonical string — the debug/verification path behind
     /// [`ExploreOptions::verify_keys`].
     fn key_string(&self) -> String {
@@ -766,9 +751,9 @@ fn term_tracks_depth(t: &RtTerm) -> bool {
 /// which is always sound).
 struct SigMin {
     key: u128,
-    journal: Vec<u32>,
+    journal: Vec<NameId>,
     perm: PathPerm,
-    ties: Vec<(PathPerm, Vec<u32>)>,
+    ties: Vec<(PathPerm, Vec<NameId>)>,
 }
 
 fn signature_min(sd: &StateData, groups: &[symmetry::SessionGroup]) -> Option<SigMin> {
@@ -827,9 +812,6 @@ fn verify_orbit_invariance(
 /// plus the positions no copy permutation may move.
 #[derive(Debug, Clone, Default)]
 struct SymCtx {
-    /// Record journals on every interned state and isomorphisms on every
-    /// merge (forced on by any reduction).
-    tracking: bool,
     /// Quotient keys by session-copy permutations.
     symmetry: bool,
     /// Brute-force-check every quotiented key against the full orbit.
@@ -841,14 +823,13 @@ struct SymCtx {
     pinned: Vec<Path>,
 }
 
-/// Everything the store remembers about how one state was canonicalized:
-/// the winning copy permutation, the canonicalizer journal of the winning
-/// serialization, and the name-table length — the raw material for merge
-/// isomorphisms.
+/// How one state was canonicalized: the winning copy permutation, the
+/// canonicalizer journal of the winning serialization, and the name-table
+/// length — the raw material for merge isomorphisms.
 #[derive(Debug, Clone, Default)]
 struct SymAnnot {
     perm: PathPerm,
-    journal: Vec<u32>,
+    journal: Vec<NameId>,
     names_len: u32,
 }
 
@@ -860,7 +841,7 @@ struct CanonOut {
     annot: SymAnnot,
     /// The other candidates tying the winning key, as `(permutation,
     /// journal)`: each one witnesses an automorphism of the state.
-    ties: Vec<(PathPerm, Vec<u32>)>,
+    ties: Vec<(PathPerm, Vec<NameId>)>,
 }
 
 /// The state store: LTS states, their exploration payloads, and the
@@ -874,9 +855,13 @@ struct StateStore {
     /// Present iff [`ExploreOptions::verify_keys`]: the same interning
     /// decisions re-derived from full canonical strings.
     strings: Option<HashMap<String, usize>>,
-    /// Canonicalization annotations, parallel to `states` (empty
-    /// annotations when not tracking).
-    annots: Vec<SymAnnot>,
+    /// How each stored state was canonicalized, parallel to `states`:
+    /// its winning permutation, its name-table length, and where its
+    /// journal ends in `journals` (it starts where the previous ends).
+    annots: Vec<(PathPerm, u32, usize)>,
+    /// Every stored state's journal, back to back: one buffer, not one
+    /// allocation kept per state.
+    journals: Vec<NameId>,
     isos: IsoTable,
     /// The non-identity automorphisms of every interned state that has
     /// some, as ids into `isos`.
@@ -896,22 +881,13 @@ impl StateStore {
 
     /// The canonical identity of `sd` under the configured reductions.
     ///
-    /// Without tracking this is the historical raw key.  With the
-    /// symmetry quotient, the key is the minimum over the
-    /// signature-guided candidate permutations of the *physically
-    /// permuted* state's raw key — each candidate is a real state of the
-    /// orbit, so the quotient can never conflate two states a plain
-    /// exploration would distinguish.
+    /// Without the symmetry quotient this is the raw key.  With it, the
+    /// key is the minimum over the signature-guided candidate
+    /// permutations of the *physically permuted* state's raw key — each
+    /// candidate is a real state of the orbit, so the quotient can never
+    /// conflate two states a plain exploration would distinguish.
     fn canonical(&self, sd: &StateData) -> CanonOut {
         let want_string = self.strings.is_some();
-        if !self.sym.tracking {
-            return CanonOut {
-                key: sd.key(),
-                string: want_string.then(|| sd.key_string()),
-                annot: SymAnnot::default(),
-                ties: Vec::new(),
-            };
-        }
         let names_len = u32::try_from(sd.cfg.names().len()).unwrap_or(u32::MAX);
         let raw = || {
             let (key, journal) = sd.key_and_journal();
@@ -1049,7 +1025,9 @@ impl StateStore {
             self.automorphisms.insert(i, auts);
         }
         self.data.push(sd);
-        self.annots.push(out.annot);
+        self.journals.extend_from_slice(&out.annot.journal);
+        self.annots
+            .push((out.annot.perm, out.annot.names_len, self.journals.len()));
         queue.push_back(i);
         i
     }
@@ -1058,12 +1036,20 @@ impl StateStore {
     /// state's winning key: each maps the state onto itself exactly the
     /// way [`StateStore::merge_iso`] maps a representative onto a
     /// newcomer, the tying candidate playing the newcomer.
-    fn automorphisms_of(&mut self, annot: &SymAnnot, ties: &[(PathPerm, Vec<u32>)]) -> Vec<u32> {
+    fn automorphisms_of(
+        &mut self,
+        annot: &SymAnnot,
+        ties: &[(PathPerm, Vec<NameId>)],
+    ) -> Vec<u32> {
         let mut auts: Vec<u32> = ties
             .iter()
             .map(|(perm, journal)| {
-                self.isos
-                    .intern(annot_iso(annot, perm, journal, annot.names_len))
+                self.isos.intern(annot_iso(
+                    (&annot.perm, &annot.journal, annot.names_len),
+                    perm,
+                    journal,
+                    annot.names_len,
+                ))
             })
             .filter(|&a| a != 0)
             .collect();
@@ -1074,8 +1060,8 @@ impl StateStore {
 
     /// Interns `sd`, returning its index plus the id of the isomorphism
     /// mapping the stored representative's coordinates to `sd`'s (`0`,
-    /// the identity, for new states and untracked stores), or `None` when
-    /// the state budget is already spent (noted on the governor).
+    /// the identity, for new states), or `None` when the state budget is
+    /// already spent (noted on the governor).
     fn intern(
         &mut self,
         sd: StateData,
@@ -1099,12 +1085,7 @@ impl StateStore {
             );
         }
         if let Some(i) = hit {
-            let iso = if self.sym.tracking {
-                self.merge_iso(i, &out.annot)
-            } else {
-                0
-            };
-            return Some((i, iso));
+            return Some((i, self.merge_iso(i, &out.annot)));
         }
         if !gov.admit_state(self.states.len()) {
             return None;
@@ -1117,9 +1098,18 @@ impl StateStore {
     /// representative's canonicalizing permutation with the inverse of
     /// the newcomer's, and zip the two canonicalizer journals (equal
     /// canonical strings assign their name slots in the same order) with
-    /// a shifted tail for names allocated after the merge point.
+    /// a shifted tail for names allocated after the merge point.  A
+    /// newcomer canonicalized exactly like its representative (same
+    /// permutation, journal and name count) merges under the identity,
+    /// with no iso built.
     fn merge_iso(&mut self, rep: usize, new: &SymAnnot) -> u32 {
-        let iso = annot_iso(&self.annots[rep], &new.perm, &new.journal, new.names_len);
+        let (perm, names_len, end) = &self.annots[rep];
+        let start = rep.checked_sub(1).map_or(0, |prev| self.annots[prev].2);
+        let old = (perm, &self.journals[start..*end], *names_len);
+        if old == (&new.perm, &new.journal[..], new.names_len) {
+            return 0;
+        }
+        let iso = annot_iso(old, &new.perm, &new.journal, new.names_len);
         self.isos.intern(iso)
     }
 }
@@ -1130,16 +1120,25 @@ impl StateStore {
 /// and the two journals zipped (equal canonical strings assign their name
 /// slots in the same order), with a shifted tail for names allocated
 /// after the merge point.
-fn annot_iso(old: &SymAnnot, perm: &PathPerm, journal: &[u32], names_len: u32) -> Iso {
-    let ids = old
-        .journal
+fn annot_iso(
+    (old_perm, old_journal, old_len): (&PathPerm, &[NameId], u32),
+    perm: &PathPerm,
+    journal: &[NameId],
+    names_len: u32,
+) -> Iso {
+    let ids = old_journal
         .iter()
         .zip(journal)
         .filter(|(a, b)| a != b)
-        .map(|(&a, &b)| (a, b))
+        .map(|(&a, &b)| (raw_id(a), raw_id(b)))
         .collect();
-    let shift = i64::from(names_len) - i64::from(old.names_len);
-    Iso::new(old.perm.then(&perm.invert()), ids, old.names_len, shift)
+    let shift = i64::from(names_len) - i64::from(old_len);
+    Iso::new(old_perm.then(&perm.invert()), ids, old_len, shift)
+}
+
+/// A name id as the [`Iso`] id maps spell it.
+fn raw_id(id: NameId) -> u32 {
+    u32::try_from(id.index()).unwrap_or(u32::MAX)
 }
 
 /// The `verify_symmetry` audit of one recorded automorphism: permuting
@@ -1154,7 +1153,11 @@ fn audit_automorphism(sd: &StateData, aut: &Iso) {
         permuted_key, key,
         "recorded automorphism {aut:?} does not reproduce the state's canonical key"
     );
-    let renamed: Vec<u32> = permuted_journal.iter().map(|&r| aut.apply_id(r)).collect();
+    let renamed: Vec<u32> = permuted_journal
+        .iter()
+        .map(|&r| aut.apply_id(raw_id(r)))
+        .collect();
+    let journal: Vec<u32> = journal.into_iter().map(raw_id).collect();
     assert_eq!(
         renamed, journal,
         "recorded automorphism {aut:?} does not map the state's names onto themselves"
@@ -1203,12 +1206,8 @@ impl Explorer {
             tripped: AtomicBool::new(false),
         };
         let mut gov = Governor::new(self.opts.budget);
-        // Any reduction forces iso tracking: merges stop being identity
-        // renamings, so traces must be able to undo them.
-        let tracking = self.opts.track_isos || self.opts.reduce.enabled();
         let pinned = self.pinned_positions();
         let sym = SymCtx {
-            tracking,
             symmetry: self.opts.reduce.symmetry,
             verify: self.opts.verify_symmetry,
             conflate: self.opts.sym_conflate,
@@ -2551,15 +2550,7 @@ mod tests {
     #[test]
     fn reduced_exploration_preserves_weak_traces() {
         use crate::traces::weak_traces;
-        // The unreduced arm tracks isos too, so both sides extract the
-        // *exact* raw trace set and compare without merge artifacts.
-        let tracked = explore(
-            SESSIONS,
-            ExploreOptions {
-                track_isos: true,
-                ..session_opts(ReduceOptions::none())
-            },
-        );
+        let plain = explore(SESSIONS, session_opts(ReduceOptions::none()));
         for reduce in [
             ReduceOptions {
                 symmetry: true,
@@ -2574,13 +2565,13 @@ mod tests {
             let reduced = explore(SESSIONS, session_opts(reduce));
             assert_eq!(
                 weak_traces(&reduced, 4),
-                weak_traces(&tracked, 4),
+                weak_traces(&plain, 4),
                 "mode {}",
                 reduce.mode()
             );
             assert_eq!(
                 reduced.weak_barbs(),
-                tracked.weak_barbs(),
+                plain.weak_barbs(),
                 "mode {}",
                 reduce.mode()
             );
@@ -2604,14 +2595,7 @@ mod tests {
         assert!(por.stats.por_pruned > 0);
         assert!(por.stats.states < plain.stats.states);
         use crate::traces::weak_traces;
-        let tracked = explore(
-            src,
-            ExploreOptions {
-                track_isos: true,
-                ..ExploreOptions::default()
-            },
-        );
-        assert_eq!(weak_traces(&por, 3), weak_traces(&tracked, 3));
+        assert_eq!(weak_traces(&por, 3), weak_traces(&plain, 3));
     }
 
     #[test]
@@ -2758,23 +2742,6 @@ mod tests {
             fresh_made: 0,
             net: None,
         }
-    }
-
-    #[test]
-    fn track_isos_alone_keeps_the_state_space() {
-        use crate::traces::weak_traces;
-        let src = "(^m)(c<m> | c(x).observe<x>)";
-        let plain = explore(src, ExploreOptions::default());
-        let tracked = explore(
-            src,
-            ExploreOptions {
-                track_isos: true,
-                ..ExploreOptions::default()
-            },
-        );
-        assert_eq!(plain.stats.states, tracked.stats.states);
-        assert_eq!(plain.stats.edges, tracked.stats.edges);
-        assert_eq!(weak_traces(&plain, 3), weak_traces(&tracked, 3));
     }
 
     #[test]

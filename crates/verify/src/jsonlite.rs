@@ -172,6 +172,7 @@ impl Json {
     /// Returns a byte-positioned description of the first syntax error.
     pub fn parse(src: &str) -> Result<Json, String> {
         let mut p = Parser {
+            src,
             bytes: src.as_bytes(),
             pos: 0,
         };
@@ -214,6 +215,7 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'s> {
+    src: &'s str,
     bytes: &'s [u8],
     pos: usize,
 }
@@ -326,13 +328,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unescaped).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash as one slice: both are ASCII, so the run
+                    // ends on a character boundary of the source text.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    let text = self.src.get(self.pos..run).ok_or("invalid UTF-8")?;
+                    out.push_str(text);
+                    self.pos = run;
                 }
             }
         }
@@ -444,6 +449,16 @@ mod tests {
         let v = Json::parse(" { \"a\" : [ 1 , 2 ] ,\n\t\"b\": \"x\" } ").unwrap();
         assert_eq!(v.get("a").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
         assert_eq!(v.get("b").and_then(Json::as_str), Some("x"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // Unescaped runs are copied as slices, multi-byte characters
+        // included; a megabyte-long string parses in linear time.
+        let long = "a".repeat(1 << 20);
+        let src = format!(r#""{long}é→\"x\\y\u0041üü""#);
+        let want = format!("{long}é→\"x\\yAüü");
+        assert_eq!(Json::parse(&src).expect("parses").as_str(), Some(want.as_str()));
     }
 
     #[test]

@@ -91,3 +91,15 @@ pub use traces::{
 pub(crate) use traces::{find_realization_in, trace_preorder_sound_in};
 pub use verifier::{Attack, EquivDirection, Verdict, VerificationReport, Verifier};
 pub(crate) use weak::WeakLayer;
+
+/// The engine-semantics version: bumped whenever the same question may
+/// be answered with different bytes (a verdict, witness, count or
+/// narration).  Cached answers are keyed by it — the server's job
+/// digest and the campaign checkpoint identity both fold it in — so a
+/// snapshot, gossip peer or checkpoint written by an older engine is
+/// never served as this one's answer.
+///
+/// History: `1`, the engine before the version existed; `2`, unreduced
+/// explorations record their merge renamings, so their trace sets (and
+/// `traces_checked`) are exact.
+pub const ENGINE_VERSION: u32 = 2;

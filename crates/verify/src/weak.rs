@@ -175,9 +175,11 @@ pub(crate) struct WeakLayer<'l> {
     then: FxMap<(u32, u32), u32>,
     /// The permutation id of each iso's path half, by iso id.
     iso_perm: Vec<u32>,
-    /// Each state's edge isos by edge position (empty when the LTS
-    /// records none).
-    edge_isos: Vec<Vec<u32>>,
+    /// Where each state's edges start in `edge_isos` (empty when the
+    /// LTS records no edge iso).
+    edge_base: Vec<usize>,
+    /// Every edge's iso, state by state in edge order.
+    edge_isos: Vec<u32>,
     /// Observed-name maps, sorted by local id; id `0` is the empty map.
     maps: Interner<Vec<(u32, u32)>>,
     /// `(iso, map)` → the map pulled back through the iso.
@@ -216,11 +218,20 @@ impl<'l> WeakLayer<'l> {
         if iso_perm.is_empty() {
             iso_perm.push(0);
         }
-        let mut edge_isos = Vec::new();
+        let (mut edge_base, mut edge_isos) = (Vec::new(), Vec::new());
         if !lts.edge_isos.is_empty() {
-            edge_isos = lts.states.iter().map(|s| vec![0; s.edges.len()]).collect();
+            let mut total = 0;
+            edge_base = lts
+                .states
+                .iter()
+                .map(|s| {
+                    total += s.edges.len();
+                    total - s.edges.len()
+                })
+                .collect();
+            edge_isos = vec![0; total];
             for (&(s, e), &iso) in &lts.edge_isos {
-                edge_isos[s][e] = iso;
+                edge_isos[edge_base[s] + e] = iso;
             }
         }
         let n = lts.states.len();
@@ -229,6 +240,7 @@ impl<'l> WeakLayer<'l> {
             perms,
             then: FxMap::default(),
             iso_perm,
+            edge_base,
             edge_isos,
             maps: Interner::with(Vec::new()),
             pulled: FxMap::default(),
@@ -253,7 +265,9 @@ impl<'l> WeakLayer<'l> {
     }
 
     fn edge_iso(&self, state: usize, edge: usize) -> u32 {
-        self.edge_isos.get(state).map_or(0, |isos| isos[edge])
+        self.edge_base
+            .get(state)
+            .map_or(0, |&base| self.edge_isos[base + edge])
     }
 
     /// "`first`, then `then`" on permutation ids.

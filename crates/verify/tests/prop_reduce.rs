@@ -98,11 +98,7 @@ proptest! {
     fn reduced_explorations_agree_with_unreduced_at_every_worker_count(
         sys in arb_session_system(),
     ) {
-        let tracked = ExploreOptions {
-            track_isos: true,
-            ..opts(ReduceOptions::none())
-        };
-        let Some(plain) = explored(&sys, tracked) else { return Ok(()); };
+        let Some(plain) = explored(&sys, opts(ReduceOptions::none())) else { return Ok(()); };
         let mut prints = Vec::new();
         for workers in [1usize, 2, 8] {
             let o = ExploreOptions { workers, ..opts(ReduceOptions::full()) };
@@ -142,12 +138,11 @@ proptest! {
         kind in prop::sample::select(FaultKind::ALL.to_vec()),
     ) {
         let faults = Some(FaultSpec::single(kind, "c", 1));
-        let tracked = ExploreOptions {
-            track_isos: true,
+        let unreduced = ExploreOptions {
             faults: faults.clone(),
             ..opts(ReduceOptions::none())
         };
-        let Some(plain) = explored(&sys, tracked) else { return Ok(()); };
+        let Some(plain) = explored(&sys, unreduced) else { return Ok(()); };
         let reduced_opts = ExploreOptions {
             faults,
             ..opts(ReduceOptions::full())

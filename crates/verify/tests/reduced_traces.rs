@@ -3,6 +3,10 @@
 //! state-local coordinates, and must still spell out exactly the weak
 //! trace set of the unreduced system — through both engines' renderers —
 //! and keep every verdict and witness of the paper's questions.
+//!
+//! The unreduced side is a default exploration: every exploration records
+//! the renaming of each state merge, so a fresh name keeps one identity
+//! along a whole trace whether or not a reduction ran.
 
 use spi_protocols::reflection;
 use spi_syntax::parse;
@@ -19,8 +23,7 @@ const PM3: &str = include_str!("../../../examples/protocols/pm3.spi");
 const VISIBLE: usize = 6;
 
 /// `src` under the most-general intruder on `c`, as the verifier
-/// explores it.  Every exploration tracks isomorphisms, so the unreduced
-/// one extracts the exact raw trace set too.
+/// explores it.
 fn explore(src: &str, sessions: u32, reduce: ReduceOptions) -> Lts {
     let system = Verifier::new(["c"]).under_attack(&parse(src).expect("parses"));
     Explorer::new(ExploreOptions {
@@ -29,14 +32,15 @@ fn explore(src: &str, sessions: u32, reduce: ReduceOptions) -> Lts {
         intruder: Some(IntruderSpec::new("1".parse().expect("path"), ["c"])),
         workers: 1,
         reduce,
-        track_isos: true,
         ..ExploreOptions::default()
     })
     .explore(&system)
     .expect("explores")
 }
 
-fn assert_reduced_traces_exact(name: &str, src: &str, sessions: u32) {
+/// Asserts that the reduced exploration of `src` spells out exactly the
+/// unreduced weak trace set, of `count` traces.
+fn assert_reduced_traces_exact(name: &str, src: &str, sessions: u32, count: usize) {
     let plain = explore(src, sessions, ReduceOptions::none());
     let reduced = explore(src, sessions, ReduceOptions::full());
     assert!(plain.complete() && reduced.complete(), "{name}@{sessions}");
@@ -45,6 +49,7 @@ fn assert_reduced_traces_exact(name: &str, src: &str, sessions: u32) {
         "{name}@{sessions}: the reduction must bite"
     );
     let want = weak_traces(&plain, VISIBLE);
+    assert_eq!(want.len(), count, "{name}@{sessions}: exact trace count");
     assert_eq!(
         weak_traces(&reduced, VISIBLE),
         want,
@@ -57,19 +62,57 @@ fn assert_reduced_traces_exact(name: &str, src: &str, sessions: u32) {
     );
 }
 
+// The Pm counts are the exact ones: an exploration that merged states
+// without recording the renaming found 6, 28 and 191 traces at 2, 3 and
+// 4 sessions, the extra ones joining two runs' nonces into one (such as
+// `["observe!n0@0010", "observe!n0@000"]`, one nonce created at two
+// positions).
+
+#[test]
+fn reduced_pm_at_two_sessions_keeps_its_traces() {
+    assert_reduced_traces_exact("pm", PM, 2, 5);
+}
+
 #[test]
 fn reduced_pm_at_three_sessions_keeps_its_traces() {
-    assert_reduced_traces_exact("pm", PM, 3);
+    assert_reduced_traces_exact("pm", PM, 3, 16);
 }
 
 #[test]
 fn reduced_pm2_at_three_sessions_keeps_its_traces() {
-    assert_reduced_traces_exact("pm2", PM2, 3);
+    assert_reduced_traces_exact("pm2", PM2, 3, 40);
 }
 
 #[test]
 fn reduced_pm_at_four_sessions_keeps_its_traces() {
-    assert_reduced_traces_exact("pm", PM, 4);
+    assert_reduced_traces_exact("pm", PM, 4, 65);
+}
+
+/// A lineage shift without an intruder: two identical `Y` components
+/// each create a nonce, and which one speaks first decides which
+/// creator position the observer sees.  A merge that does not record
+/// the renaming lets a trace continue in the other run's names.
+const LINEAGE_SHIFT: &str = "observe<go>.(^a)observe<a>.(^b)observe<b> \
+    | (^k)(k<k> | k(z).(^y)observe<y>) | (^k)(k<k> | k(z).(^y)observe<y>)";
+
+#[test]
+fn default_explorations_keep_nonce_lineages_apart() {
+    let explore = |reduce| {
+        Explorer::new(ExploreOptions {
+            workers: 1,
+            reduce,
+            ..ExploreOptions::default()
+        })
+        .explore(&parse(LINEAGE_SHIFT).expect("parses"))
+        .expect("explores")
+    };
+    let plain = explore(ReduceOptions::none());
+    let reduced = explore(ReduceOptions::full());
+    assert!(plain.complete() && reduced.complete());
+    let want = weak_traces(&plain, 5);
+    // Without recorded renamings the same exploration showed 119.
+    assert_eq!(want.len(), 64, "exact trace count");
+    assert_eq!(weak_traces(&reduced, 5), want);
 }
 
 /// Both engines' verdicts on `concrete` against `spec` under full
